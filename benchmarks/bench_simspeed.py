@@ -89,8 +89,11 @@ def measure_case(
 
 # -- backend scaling sweep --------------------------------------------------------
 #: CPIs per scaling-sweep run: enough events for a stable events/s figure
-#: without the 1024-rank pure-Python run dominating the whole benchmark.
+#: without the 1024-rank reference run dominating the whole benchmark.
 SCALING_CPIS = 10
+
+#: Interleaved trials per (config, backend) row; the best one is recorded.
+SCALING_TRIALS = 3
 
 #: Rank counts of the sweep: the three Table 7 assignments (59/118/236
 #: nodes), the full 321-node AFRL Paragon, and a hypothetical 1024-node
@@ -127,26 +130,37 @@ def _scaling_configs() -> list[tuple[str, object, object]]:
     return configs
 
 
-def measure_backend_scaling(num_cpis: int = SCALING_CPIS) -> list[dict]:
-    """Events/s of every available backend across the five machine scales."""
-    from repro.des.backends import available_backends
+def measure_backend_scaling(
+    num_cpis: int = SCALING_CPIS, trials: int = SCALING_TRIALS
+) -> list[dict]:
+    """Best-of-``trials`` events/s of the default (lowered) core and the
+    reference checker across the five machine scales.
 
-    records = []
-    for label, assignment, machine in _scaling_configs():
-        for backend in available_backends():
-            pipeline = STAPPipeline(
-                STAPParams.paper(), assignment, machine=machine,
-                num_cpis=num_cpis, perf=True, backend=backend,
-            )
-            result = pipeline.run()
-            record = result.perf.to_dict()
-            record.update(
-                config=label,
-                ranks=assignment.total_nodes,
-                makespan=result.makespan,
-            )
-            records.append(record)
-    return records
+    Trials are interleaved — each round runs every config on both cores —
+    so a slow host period hits both rows alike instead of one of them.
+    """
+    from repro.des.backends import BACKEND_NAMES
+
+    configs = _scaling_configs()
+    best: dict[tuple[str, str], dict] = {}
+    for _ in range(trials):
+        for label, assignment, machine in configs:
+            for backend in BACKEND_NAMES:
+                pipeline = STAPPipeline(
+                    STAPParams.paper(), assignment, machine=machine,
+                    num_cpis=num_cpis, perf=True, backend=backend,
+                )
+                result = pipeline.run()
+                record = result.perf.to_dict()
+                record.update(
+                    config=label,
+                    ranks=assignment.total_nodes,
+                    makespan=result.makespan,
+                )
+                kept = best.get((label, backend))
+                if kept is None or record["events_per_second"] > kept["events_per_second"]:
+                    best[(label, backend)] = record
+    return list(best.values())
 
 
 def measure_all_cases() -> list[dict]:
@@ -288,9 +302,9 @@ def test_simspeed_smoke():
 @pytest.mark.bench_smoke
 @pytest.mark.backends
 def test_backend_speed_guard():
-    """The lowered core must not be slower than the reference engine.
+    """The default lowered core must not be slower than the reference.
 
-    Table 7 case 1 (236 nodes) is the scale the backends exist for; the
+    Table 7 case 1 (236 nodes) is the scale the core exists for; the
     acceptance bar is >= 2x, but on a noisy shared host this guard asserts
     the conservative invariant (lowered >= python events/s, best of two
     interleaved trials) so it never flakes while still catching a lowered
@@ -524,7 +538,14 @@ def main(argv=None) -> int:
             f"{record['backend']:>8}: {record['wall_seconds']:6.2f} s wall, "
             f"{record['events_per_second']:9.0f} events/s"
         )
-    _merge_results({"backends": {"num_cpis": SCALING_CPIS, "runs": scaling}})
+    _merge_results({
+        "backends": {
+            "num_cpis": SCALING_CPIS,
+            "best_of": SCALING_TRIALS,
+            "usable_cpus": _usable_cpus(),
+            "runs": scaling,
+        }
+    })
     print(f"wrote {RESULTS_PATH}")
     return 0
 

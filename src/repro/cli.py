@@ -36,6 +36,7 @@ from repro import (
     SequentialSTAP,
 )
 from repro.core.timeline import render_timeline
+from repro.des.backends import BACKEND_NAMES
 from repro.scheduling import (
     AnalyticPipelineModel,
     optimize_latency,
@@ -482,12 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="two-phase paced latency measurement")
     p_case.add_argument("--perf", action="store_true",
                         help="report the simulator's own wall-clock cost")
-    p_case.add_argument("--backend",
-                        choices=("python", "lowered", "compiled", "auto"),
-                        default=None,
-                        help="simulator core (default: the reference "
-                             "python engine; 'auto' picks the fastest "
-                             "available)")
+    p_case.add_argument("--backend", choices=BACKEND_NAMES, default=None,
+                        help="simulator core (default: the plan-lowered "
+                             "core; 'python' runs the reference checker)")
     p_case.add_argument("--profile", action="store_true",
                         help="re-run the case under cProfile and print "
                              "the hottest functions")
@@ -543,9 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(0 = analytic prescreen only, no simulation)")
     p_tune.add_argument("--sim-rounds", type=int, default=2,
                         help="refinement rounds around the measured winners")
-    p_tune.add_argument("--backend",
-                        choices=("python", "lowered", "compiled", "auto"),
-                        default=None,
+    p_tune.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                         help="simulator core for refinement runs")
     p_tune.add_argument("--campaign-dir", metavar="PATH", default=None,
                         help="root refinement runs in a durable campaign "
@@ -606,9 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="persist results on disk (content-addressed)")
     p_sw.add_argument("--no-cache", action="store_true",
                       help="disable the result cache entirely")
-    p_sw.add_argument("--backend",
-                      choices=("python", "lowered", "compiled", "auto"),
-                      default=None,
+    p_sw.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                       help="simulator core for every point of the sweep")
     p_sw.add_argument("--dashboard", action="store_true",
                       help="live progress line on stderr plus a final "
@@ -657,9 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(scalability)")
     p_cr.add_argument("--params", choices=_PARAM_PRESETS, default="paper",
                       help="STAP parameter preset for every point")
-    p_cr.add_argument("--backend",
-                      choices=("python", "lowered", "compiled", "auto"),
-                      default=None,
+    p_cr.add_argument("--backend", choices=BACKEND_NAMES, default=None,
                       help="simulator core for every point")
     _add_campaign_exec_flags(p_cr)
     p_cr.set_defaults(fn=cmd_campaign_run)

@@ -25,6 +25,7 @@ from typing import Dict, Optional
 
 from repro.core.assignment import Assignment, TASK_NAMES
 from repro.core.layout import PipelineLayout
+from repro.core.redistribution import TAG_CODES, edge_tag
 from repro.core.metrics import (
     PipelineMetrics,
     TaskMetrics,
@@ -113,12 +114,13 @@ class STAPPipeline:
         task iteration, per-message MPI lifecycles, and per-link network
         stats — purely passively, so modeled timestamps are identical
         with tracing on or off.  Off by default (one ``is None`` check
-        per iteration/message/transfer).
+        per iteration/message/transfer).  Link stats come from the lowered
+        transfer path, so running a traced pipeline with ``backend="python"``
+        or ``links`` contention raises :class:`ConfigurationError`.
 
-        ``backend``: simulator core (see :mod:`repro.des.backends`):
-        ``"python"`` (reference, the default), ``"lowered"`` (plan-lowered
-        hot path), ``"compiled"`` (C extension; errors if not built), or
-        ``"auto"`` (fastest available).  All backends produce bit-identical
+        ``backend``: simulator core (see :mod:`repro.des.backends`): None
+        or ``"lowered"`` (the plan-lowered core, the default) or
+        ``"python"`` (the reference checker).  Both produce bit-identical
         results; the resolved name is available as ``self.backend``."""
         if mode not in ("modeled", "functional"):
             raise ConfigurationError(f"mode must be 'modeled' or 'functional', got {mode!r}")
@@ -150,12 +152,19 @@ class STAPPipeline:
         self.double_buffering = double_buffering
         self.collect_training = collect_training
         self.perf = perf
-        from repro.des.backends import resolve_backend
+        from repro.des.backends import TAG_LIMIT, resolve_backend
 
-        #: The backend name as requested (None/"auto" preserved for clones).
+        #: The backend name as requested (None preserved for clones).
         self.requested_backend = backend
         #: The resolved, concrete backend this pipeline will run on.
         self.backend = resolve_backend(backend)
+        last_tag = max(edge_tag(name, num_cpis - 1) for name in TAG_CODES)
+        if self.backend == "lowered" and last_tag >= TAG_LIMIT:
+            raise ConfigurationError(
+                f"num_cpis={num_cpis} needs MPI tags up to {last_tag}, past "
+                f"the lowered matcher's bound {TAG_LIMIT - 1}; split the run "
+                f"into shorter pipelines"
+            )
         # Explicit identity checks: an *empty* TraceSink has ``__len__`` 0
         # and is falsy, but a caller passing one still wants tracing.
         if trace is True:
@@ -278,9 +287,9 @@ class STAPPipeline:
         tasks = self._build_tasks(collector)
         sink = self.trace_sink
         if sink is not None:
+            world.network.attach_trace(sink)  # raises on the reference path
             sink.bind(sim)
             world.obs = sink
-            world.network.obs = sink
             sink.meta.update(
                 label=f"{self.assignment.name or 'pipeline'} [{self.mode}]",
                 num_cpis=self.num_cpis,

@@ -1,25 +1,23 @@
 """Runtime-selectable simulator cores.
 
-Three backends run the same simulation with the same bit-exact results:
+Two backends run the same simulation with the same bit-exact results:
 
+``lowered`` (the default)
+    Plan-lowered hot path: transfers become pooled slot records driven by
+    :class:`EnginePlan` tables, the matcher packs its keys into integers,
+    and an attached :class:`~repro.obs.TraceSink` is fed from the slot
+    records themselves.  ``backend=None`` resolves here on every entry
+    point (pipeline, sweeps, tuner, CLI).
 ``python``
     The reference engine (:class:`~repro.des.engine.Simulator` plus
-    :class:`~repro.machine.network.Network`) — always available, the
-    semantics oracle every other backend is pinned against.
-``lowered``
-    Pure-Python, plan-lowered hot path: transfers become pooled slot
-    records driven by :class:`EnginePlan` tables, the matcher packs its
-    keys into integers.  Always available.
-``compiled``
-    The same plan run natively by the optional C extension
-    ``repro.des._despeed`` (built via ``setup.py build_ext``; gracefully
-    absent when no compiler was around at install time).
+    :class:`~repro.machine.network.Network`): a plain checker the
+    bit-identity tests compare the lowered core against.  It records no
+    network trace; a traced run on it is a ``ConfigurationError``.
 
-``auto`` resolves to the fastest available backend (compiled, else
-lowered).  Selection flows down from :class:`~repro.core.pipeline.STAPPipeline`
-and :class:`~repro.exec.SimPoint`; result-cache keys include the resolved
-backend identity and :data:`ENGINE_SCHEMA` so results from different cores
-are never conflated.
+A native C core was measured at 1.25x the lowered core end to end on
+Table 7 case 1 and removed (see ``docs/performance.md``).  Result-cache
+keys include the resolved backend identity and :data:`ENGINE_SCHEMA` so
+results from different cores are never conflated.
 """
 
 from __future__ import annotations
@@ -32,67 +30,28 @@ from repro.des.backends.plan import EnginePlan, TAG_BITS, TAG_LIMIT
 from repro.errors import ConfigurationError
 
 #: Engine implementation schema: bump when any backend's scheduling
-#: semantics change, to invalidate cached results keyed on it.
-ENGINE_SCHEMA = 1
+#: semantics change, to invalidate cached results keyed on it.  2: the
+#: lowered core became the default and the C core was removed.
+ENGINE_SCHEMA = 2
 
-#: Names accepted by ``resolve_backend`` (besides ``auto`` and None).
-BACKEND_NAMES = ("python", "lowered", "compiled")
+#: Backend names accepted by ``resolve_backend`` (besides None).
+BACKEND_NAMES = ("python", "lowered")
 
-_COMPILED_CORE = None
-_COMPILED_CHECKED = False
-
-
-def _compiled_core():
-    """The C extension module, or None when it is not built/importable."""
-    global _COMPILED_CORE, _COMPILED_CHECKED
-    if not _COMPILED_CHECKED:
-        _COMPILED_CHECKED = True
-        try:
-            from repro.des import _despeed  # noqa: F401 - optional extension
-
-            _COMPILED_CORE = _despeed
-        except ImportError:
-            _COMPILED_CORE = None
-    return _COMPILED_CORE
-
-
-def compiled_available() -> bool:
-    """True when the optional C extension imported successfully."""
-    return _compiled_core() is not None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in this process, reference first."""
-    names = ["python", "lowered"]
-    if compiled_available():
-        names.append("compiled")
-    return tuple(names)
+#: What ``backend=None`` runs.
+DEFAULT_BACKEND = "lowered"
 
 
 def resolve_backend(name: str | None) -> str:
-    """Map a requested backend name onto a concrete, available one.
+    """Map a requested backend name onto a concrete one.
 
-    ``None`` keeps the reference engine (full backward compatibility);
-    ``auto`` picks the fastest available core, silently falling back from
-    compiled to lowered when the extension is absent.  Asking for
-    ``compiled`` explicitly when it is unavailable is an error — an
-    explicit request must not silently run 3x slower.
+    ``None`` selects :data:`DEFAULT_BACKEND`, the lowered core; ``python``
+    asks for the reference checker.  Anything else is an error.
     """
     if name is None:
-        return "python"
-    if name == "auto":
-        return "compiled" if compiled_available() else "lowered"
+        return DEFAULT_BACKEND
     if name not in BACKEND_NAMES:
         raise ConfigurationError(
-            f"unknown simulator backend {name!r}; "
-            f"expected one of {BACKEND_NAMES + ('auto',)}"
-        )
-    if name == "compiled" and not compiled_available():
-        raise ConfigurationError(
-            "the compiled simulator backend is not available "
-            "(repro.des._despeed failed to import; build it with "
-            "'python setup.py build_ext --inplace' or use backend='auto' "
-            "to fall back automatically)"
+            f"unknown simulator backend {name!r}; expected one of {BACKEND_NAMES}"
         )
     return name
 
@@ -128,26 +87,9 @@ class LoweredBackend(EngineBackend):
         return LoweredNetwork(sim, mesh, cost, contention=contention, plan=plan)
 
 
-class CompiledBackend(LoweredBackend):
-    """Native core: same plan, same schedule, C event loop and records."""
-
-    name = "compiled"
-
-    def create_simulator(self, trace: bool = False) -> Simulator:
-        from repro.des.backends.compiled import CompiledSimulator
-
-        return CompiledSimulator(trace=trace)
-
-    def create_network(self, sim, mesh, cost, contention, plan):
-        from repro.des.backends.compiled import CompiledNetwork
-
-        return CompiledNetwork(sim, mesh, cost, contention=contention, plan=plan)
-
-
 _BACKENDS = {
     "python": EngineBackend,
     "lowered": LoweredBackend,
-    "compiled": CompiledBackend,
 }
 
 
@@ -168,16 +110,14 @@ def timed_plan(backend: EngineBackend, mesh, cost, contention):
 __all__ = [
     "ENGINE_SCHEMA",
     "BACKEND_NAMES",
+    "DEFAULT_BACKEND",
     "EnginePlan",
     "EngineBackend",
     "LoweredBackend",
-    "CompiledBackend",
     "LoweredSimulator",
     "LoweredNetwork",
     "TAG_BITS",
     "TAG_LIMIT",
-    "available_backends",
-    "compiled_available",
     "resolve_backend",
     "get_backend",
     "timed_plan",

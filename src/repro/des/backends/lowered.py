@@ -32,10 +32,18 @@ reference ``Resource`` would have scheduled the grant.  Timestamps,
 event order, and every counter therefore match the reference bit for bit;
 the golden and hypothesis backend tests enforce this.
 
-Fallbacks: the LINKS contention mode, attached observability sinks, and an
-engine-level tracer all use the inherited reference transfer path (on the
-lowered engine the two paths schedule identically, so mixing modes across
-runs stays bit-identical).
+Tracing: with a :class:`~repro.obs.TraceSink` attached (``attach_trace``)
+the records also carry their two port request times and the hold start,
+and the releasing step reports each port's hold interval, bytes and
+contention wait — exactly what the reference path's resources would have
+seen.  Traced runs take the generic loop below instead of the inlined one;
+the schedule is the same.
+
+Fallbacks: the LINKS contention mode and an engine-level tracer use the
+inherited reference transfer path (on the lowered engine the two paths
+schedule identically, so mixing modes across runs stays bit-identical).
+The network says which path ran in ``transfer_path``, which perf reports
+and the ``des_*`` metrics carry as a label.
 """
 
 from __future__ import annotations
@@ -82,6 +90,10 @@ class _Transfer:
         "wait_since",
         "pending",
         "recv",
+        "nbytes",
+        "t_req1",
+        "t_req2",
+        "t_hold",
     )
 
     name = "xfer[slot]"
@@ -100,6 +112,12 @@ class _Transfer:
         #: Event-completion path).
         self.pending = None
         self.recv = None
+        #: Trace stamps (read only when a sink is attached): message size,
+        #: the two port request times, and when both ports were held.
+        self.nbytes = 0
+        self.t_req1 = 0.0
+        self.t_req2 = 0.0
+        self.t_hold = 0.0
 
 
 class LoweredSimulator(Simulator):
@@ -112,9 +130,9 @@ class LoweredSimulator(Simulator):
 
     def __init__(self, trace: bool = False):
         super().__init__(trace=trace)
-        #: Lowered networks bound to this engine.  With exactly one, the
-        #: fast loop inlines its transfer state machine; with several (or
-        #: none) records go through bound-method dispatch.
+        #: Lowered networks bound to this engine.  With exactly one and no
+        #: trace sink, the fast loop inlines its transfer state machine;
+        #: otherwise records go through bound-method dispatch.
         self._slot_networks: list = []
 
     def step(self) -> None:
@@ -131,6 +149,7 @@ class LoweredSimulator(Simulator):
             stop_event is None
             and stop_time is None
             and len(self._slot_networks) == 1
+            and self._slot_networks[0].obs is None
         ):
             return self._run_inlined(self._slot_networks[0])
         queue = self._queue
@@ -317,8 +336,8 @@ class LoweredSimulator(Simulator):
 class LoweredNetwork(Network):
     """Plan-driven network scheduler (NONE and ENDPOINT contention).
 
-    Transfers run as slot records off :class:`EnginePlan` tables; the LINKS
-    mode, observability, and traced runs inherit the reference path.
+    Transfers run as slot records off :class:`EnginePlan` tables, traced or
+    not; the LINKS mode and engine-tracer runs inherit the reference path.
     """
 
     def __init__(self, sim, mesh, cost_model=None, contention=ContentionMode.ENDPOINT,
@@ -331,6 +350,9 @@ class LoweredNetwork(Network):
             and sim.tracer is None
             and getattr(sim, "handles_slot_records", False)
         )
+        self.transfer_path = "lowered" if self._lowered_on else "reference"
+        #: Attached :class:`~repro.obs.TraceSink` (see ``attach_trace``).
+        self.obs = None
         if self._lowered_on:
             nports = plan.num_ports
             #: Port state, struct-of-arrays: held flag, waiter FIFOs, and
@@ -355,9 +377,20 @@ class LoweredNetwork(Network):
         """Install the matcher's delivery function for the fast path."""
         self._deliver = deliver
 
+    def attach_trace(self, sink) -> None:
+        """Record every port hold into ``sink`` from the slot records."""
+        if not self._lowered_on:
+            super().attach_trace(sink)  # raises: the reference path is untraced
+        self.obs = sink
+        #: Resource names, exactly the reference ``Resource`` names.
+        self._port_names = [
+            f"inject[{port // 2}]" if port % 2 else f"eject[{port // 2}]"
+            for port in range(self.plan.num_ports)
+        ]
+
     # -- lowered transfer path -------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: int) -> Event:
-        if not self._lowered_on or self.obs is not None:
+        if not self._lowered_on:
             return super().transfer(src, dst, nbytes)
         if nbytes < 0:
             raise MachineError(f"negative message size: {nbytes}")
@@ -368,6 +401,7 @@ class LoweredNetwork(Network):
         pool = self._record_pool
         record = pool.pop() if pool else _Transfer(self._step)
         record.done = done
+        record.nbytes = nbytes
 
         if src != dst and self._endpoint:
             record.stage = _START
@@ -397,8 +431,7 @@ class LoweredNetwork(Network):
         number, same time and priority) and the ``_DELIVER`` stage runs
         what the done-event's delivery callback would have — but with no
         Event, no closure, and no callback-list churn per message.  Only
-        called by the matcher when the lowered path is on and no
-        observability sink is attached.
+        called by the matcher when the lowered path is on.
         """
         nbytes = pending.message.nbytes
         if nbytes < 0:
@@ -410,6 +443,7 @@ class LoweredNetwork(Network):
         record = pool.pop() if pool else _Transfer(self._step)
         record.pending = pending
         record.recv = recv_req
+        record.nbytes = nbytes
 
         if src != dst and self._endpoint:
             record.stage = _START
@@ -465,7 +499,12 @@ class LoweredNetwork(Network):
         stage = record.stage
         sim = self.sim
         if stage <= _ACQ1:  # _START or _ACQ1: acquire a port
-            port = record.port1 if stage == _START else record.port2
+            if stage == _START:
+                port = record.port1
+                record.t_req1 = sim._now
+            else:
+                port = record.port2
+                record.t_req2 = sim._now
             record.stage = stage + 1
             if self._port_in_use[port]:
                 record.wait_since = sim._now
@@ -481,6 +520,7 @@ class LoweredNetwork(Network):
         elif stage == _ACQ2:
             # Both ports held: serialize (header + occupancy), then release.
             record.stage = _RELEASE
+            record.t_hold = sim._now
             sim._seq += 1
             heappush(sim._queue, (sim._now + record.hold, 1, sim._seq, record))
         elif stage == _RELEASE:
@@ -496,6 +536,20 @@ class LoweredNetwork(Network):
                     heappush(sim._queue, (sim._now, 1, sim._seq, waiter))
                 else:
                     self._port_in_use[port] = 0
+            obs = self.obs
+            if obs is not None:
+                # Reference order: ejection port first.  The ejection grant
+                # came exactly when the injection port was requested.
+                names = self._port_names
+                start, now, nbytes = record.t_hold, sim._now, record.nbytes
+                obs.record_link_hold(
+                    names[record.port1], start, now, nbytes,
+                    record.t_req2 - record.t_req1,
+                )
+                obs.record_link_hold(
+                    names[record.port2], start, now, nbytes,
+                    start - record.t_req2,
+                )
             self._complete(record, sim)
         elif stage == _DELIVER:
             pending, recv = record.pending, record.recv

@@ -1,10 +1,10 @@
 """EnginePlan: per-run lowered tables for the simulator hot path.
 
-The lowered and compiled backends follow the PyOP2 pattern: everything the
-hot loop would otherwise recompute per event — mesh hop distances, wormhole
-header latencies, port identities, match-key encodings — is computed *once*
-per run into preallocated numpy tables, and the event loop then runs off
-plain array indexing (Python backend) or raw buffer reads (C backend).
+The lowered backend follows the PyOP2 pattern: everything the hot loop
+would otherwise recompute per event — mesh hop distances, wormhole header
+latencies, port identities, match-key encodings — is computed *once* per
+run into preallocated numpy tables, and the event loop then runs off plain
+array indexing.
 
 The plan mirrors :class:`repro.stap.plan.KernelPlan` one layer down: where
 the kernel plan captures CPI-invariant numeric factors, the engine plan
@@ -32,7 +32,8 @@ from repro.machine.network import ContentionMode
 #: Match keys pack ``tag`` into the low bits of one integer; tags must stay
 #: below this bound for the packed matcher (the pipeline's tags are small
 #: CPI/edge indices, far below it).  Larger tags are rejected with a clear
-#: error pointing at the ``python`` backend.
+#: error; :class:`~repro.core.pipeline.STAPPipeline` refuses a run whose
+#: last edge tag would reach the bound before simulating anything.
 TAG_BITS = 22
 TAG_LIMIT = 1 << TAG_BITS
 
@@ -106,7 +107,7 @@ class EnginePlan:
             build_seconds=time.perf_counter() - t0,
         )
 
-    # -- port numbering (shared by Python and C state machines) ----------------
+    # -- port numbering ---------------------------------------------------------
     @staticmethod
     def eject_port(node: int) -> int:
         return 2 * node

@@ -152,8 +152,8 @@ def machine_fingerprint(machine: Optional[Machine]) -> dict:
 def engine_fingerprint(backend) -> dict:
     """The simulator-core identity a result depends on.
 
-    The *resolved* backend goes into the key (``auto`` hashes to whatever
-    core actually runs), together with :data:`~repro.des.backends.ENGINE_SCHEMA`
+    The *resolved* backend goes into the key (``None`` hashes to the
+    default core it runs on), together with :data:`~repro.des.backends.ENGINE_SCHEMA`
     so a scheduling-semantics change in any backend flushes its entries.
     All backends are bit-identical by contract, but the cache must never
     *assume* that — conflating cores would make a backend bug silently

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.core.assignment import Assignment
 from repro.core.metrics import PipelineMetrics, TaskMetrics
+from repro.des.backends import resolve_backend
 from repro.errors import ConfigurationError
 from repro.machine import Machine
 from repro.radar.parameters import STAPParams
@@ -56,10 +57,9 @@ class SimPoint:
     double_buffering: bool = True
     collect_training: bool = True
     measured: bool = False
-    #: Simulator backend (``None`` = reference engine, or one of
-    #: ``python`` / ``lowered`` / ``compiled`` / ``auto``).  The *resolved*
-    #: identity goes into the cache key, so an ``auto`` point hashes to
-    #: whichever core it actually runs on.
+    #: Simulator backend (``None`` = the default lowered core, or one of
+    #: ``python`` / ``lowered``).  The *resolved* identity goes into the
+    #: cache key, so a ``None`` point hashes like an explicit ``lowered``.
     backend: Optional[str] = None
     #: Display name for progress output; defaults to the assignment's name.
     label: str = ""
@@ -74,11 +74,7 @@ class SimPoint:
             raise ConfigurationError(
                 f"the executor supports modes {self.MODES}, got {self.mode!r}"
             )
-        if self.backend not in (None, "auto", "python", "lowered", "compiled"):
-            raise ConfigurationError(
-                f"unknown simulator backend {self.backend!r}; expected one of "
-                "('python', 'lowered', 'compiled', 'auto')"
-            )
+        resolve_backend(self.backend)  # raises on an unknown name
         if self.mode == "rt" and self.measured:
             raise ConfigurationError(
                 "rt points are always measured for real; drop measured=True"

@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.des import Simulator, Resource
 from repro.des.event import Event
-from repro.errors import MachineError
+from repro.errors import ConfigurationError, MachineError
 from repro.machine.cost_model import NetworkCostModel
 from repro.machine.mesh import Mesh2D, Link
 
@@ -44,6 +44,10 @@ class Network:
     #: Whether the matcher may use the backend's matched-transfer fast path
     #: (``transfer_matched``); only lowered networks override this.
     _matched_fast = False
+    #: Which transfer implementation runs this network's messages:
+    #: ``"reference"`` (this class's callback chain) or ``"lowered"``
+    #: (slot records).  Reported by perf and the ``des_*`` metrics.
+    transfer_path = "reference"
 
     def __init__(
         self,
@@ -67,10 +71,6 @@ class Network:
         #: Counters for diagnostics / tests.
         self.messages_sent = 0
         self.bytes_sent = 0
-        #: Optional :class:`~repro.obs.TraceSink` receiving per-resource
-        #: busy intervals and contention-wait stats.  When None (default)
-        #: transfers take the uninstrumented fast path unchanged.
-        self.obs = None
 
     # -- resource lookup (lazy: a 321-node mesh has ~2500 links) --------------
     def _injection_port(self, node: int) -> Resource:
@@ -124,9 +124,6 @@ class Network:
         return done
 
     def _begin_transfer(self, src: int, dst: int, nbytes: int, done: Event) -> None:
-        if self.obs is not None:
-            self._begin_transfer_obs(src, dst, nbytes, done)
-            return
         sim = self.sim
         if src == dst:
             delay = sim.pooled_timeout(self.cost.per_byte_s * nbytes)
@@ -181,75 +178,19 @@ class Network:
 
         acquire_next(None)
 
-    def _begin_transfer_obs(self, src: int, dst: int, nbytes: int, done: Event) -> None:
-        """Observed twin of :meth:`_begin_transfer`.
+    def attach_trace(self, sink) -> None:
+        """Feed per-resource holds to a :class:`~repro.obs.TraceSink`.
 
-        Schedules the *same* events in the same order at the same times —
-        the only additions are local timestamp reads and sink appends, so
-        virtual timestamps stay bit-identical with observability on.
+        Only the lowered transfer path records link holds; the reference
+        path is a plain checker and refuses rather than run untraced.
         """
-        sim = self.sim
-        obs = self.obs
-        if src == dst:
-            delay = sim.pooled_timeout(self.cost.per_byte_s * nbytes)
-            delay.callbacks.append(lambda _ev: done.succeed())
-            return
-
-        occupancy = self._occupancy_cache.get(nbytes)
-        if occupancy is None:
-            occupancy = self._occupancy_cache[nbytes] = self.cost.occupancy(nbytes)
-
-        if self.contention is ContentionMode.NONE:
-            hops = self.mesh.hop_distance(src, dst)
-            delay = sim.pooled_timeout(self.cost.point_to_point(nbytes, hops))
-            delay.callbacks.append(lambda _ev: done.succeed())
-            return
-
-        route = self._route_cache.get((src, dst))
-        if route is None:
-            hops = self.mesh.hop_distance(src, dst)
-            if self.contention is ContentionMode.ENDPOINT:
-                holds = [self._ejection_port(dst), self._injection_port(src)]
-            else:
-                holds = [self._injection_port(src), self._ejection_port(dst)]
-                holds.extend(self._link(l) for l in self.mesh.route(src, dst))
-                holds.sort(key=lambda r: r.name)
-            header = self.cost.startup_s + self.cost.per_hop_s * hops
-            route = self._route_cache[(src, dst)] = (holds, header)
-        holds, header = route
-
-        hold_time = header + occupancy
-        index = 0
-        waits = [0.0] * len(holds)
-        requested_at = 0.0
-
-        def acquire_next(_ev) -> None:
-            nonlocal index, requested_at
-            if index:
-                # The previous resource was just granted.
-                waits[index - 1] = sim.now - requested_at
-            if index < len(holds):
-                res = holds[index]
-                index += 1
-                requested_at = sim.now
-                res.request().callbacks.append(acquire_next)
-                return
-            acquired_at = sim.now
-            delay = sim.pooled_timeout(hold_time)
-
-            def finish(_ev) -> None:
-                released_at = sim.now
-                for res in reversed(holds):
-                    res.release()
-                for res, wait in zip(holds, waits):
-                    obs.record_link_hold(
-                        res.name, acquired_at, released_at, nbytes, wait
-                    )
-                done.succeed()
-
-            delay.callbacks.append(finish)
-
-        acquire_next(None)
+        tracer = ", engine tracer attached" if self.sim.tracer is not None else ""
+        raise ConfigurationError(
+            f"network tracing needs the lowered transfer path, but this run "
+            f"uses the reference one (backend={self.sim.backend!r}, "
+            f"contention={self.contention.value!r}{tracer}); trace with the "
+            f"default lowered backend and 'none' or 'endpoint' contention"
+        )
 
     # -- diagnostics ------------------------------------------------------------
     def endpoint_wait_time(self, node: int) -> float:

@@ -227,9 +227,9 @@ class World:
             exact_key = (context_id, dst_world, src_world, tag)
         probes = 0
 
-        # Emptied queues are left in their dicts (falsy, so every guard
-        # below still works) — steady-state traffic reuses the same keys,
-        # so this trades a little memory for zero deque churn per message.
+        # Emptied queues are dropped from their dicts: every pipeline tag
+        # carries its CPI index, so a key is never reused once drained and
+        # keeping it would grow the matcher by one deque per message.
         exact_queue = self._recvs_exact.get(exact_key)
         exact_cand = exact_queue[0] if exact_queue else None
         if exact_cand is not None:
@@ -247,10 +247,14 @@ class World:
 
         if exact_cand is not None and (wild_cand is None or exact_cand[1] < wild_cand[1]):
             exact_queue.popleft()
+            if not exact_queue:
+                del self._recvs_exact[exact_key]
             self._start_transfer(pending, exact_cand[0])
             return request
         if wild_cand is not None:
             del wild_queue[wild_idx]
+            if not wild_queue:
+                del self._recvs_wild[dest_key]
             self.wildcard_hits += 1
             self._start_transfer(pending, wild_cand[0])
             return request
@@ -258,8 +262,6 @@ class World:
         queue = self._sends_exact.get(exact_key)
         if queue is None:
             queue = self._sends_exact[exact_key] = deque()
-            self._send_keys.setdefault(dest_key, set()).add(exact_key)
-        elif not queue:
             self._send_keys.setdefault(dest_key, set()).add(exact_key)
         queue.append(pending)
         if nbytes <= self.eager_threshold:
@@ -348,6 +350,8 @@ class World:
         return ((dest_key * self.num_ranks + src_world) << TAG_BITS) | tag
 
     def _discard_send_key(self, dest_key, exact_key) -> None:
+        """Forget a drained exact-key send queue."""
+        del self._sends_exact[exact_key]
         keys = self._send_keys.get(dest_key)
         if keys is not None:
             keys.discard(exact_key)
@@ -358,7 +362,7 @@ class World:
         record = pending.record
         placement = self.placement
         network = self.network
-        if network._matched_fast and record is None and network.obs is None:
+        if network._matched_fast and record is None:
             # Lowered backends deliver straight from the slot record — no
             # completion Event or callback closure per message (the record's
             # final push consumes the same sequence number ``done.succeed()``

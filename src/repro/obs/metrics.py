@@ -56,6 +56,22 @@ SECONDS_BUCKETS = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
 )
 
+#: Metrics measured in *host* seconds.  Everything else the pipeline and
+#: executor flush is a count or virtual time, so it repeats bit for bit
+#: across runs and processes; these are wall-clock readings that do not,
+#: so cross-run comparisons check them by presence and sign only.
+HOST_TIME_METRICS = frozenset({
+    "des_plan_build_seconds_total",
+    "stap_kernel_seconds_total",
+    "exec_point_seconds",
+})
+
+
+def is_host_time(series: str) -> bool:
+    """Whether a metric or series name (``name{labels}``) is host time."""
+    return series.split("{", 1)[0] in HOST_TIME_METRICS
+
+
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 
@@ -423,20 +439,25 @@ def record_pipeline_run(
     reg = metrics_registry if registry is None else registry
     if not reg.enabled:
         return
-    backend = {"backend": getattr(world, "backend", getattr(sim, "backend", "python"))}
+    # Which core ran, and which transfer path it took (the lowered core
+    # falls back to the reference path under LINKS contention).
+    engine = {
+        "backend": getattr(world, "backend", getattr(sim, "backend", "python")),
+        "transfer_path": world.network.transfer_path,
+    }
 
     # DES engine.
     reg.counter("des_events_total",
                 "events processed by the simulator core",
-                labels=backend).inc(sim.events_processed)
+                labels=engine).inc(sim.events_processed)
     reg.gauge("des_heap_depth_peak",
-              "peak event-heap depth observed at schedule time").set_max(
-        getattr(sim, "heap_peak", 0))
+              "peak event-heap depth observed at schedule time",
+              labels=engine).set_max(getattr(sim, "heap_peak", 0))
     plan = getattr(world, "engine_plan", None)
     if plan is not None:
         reg.counter("des_plan_build_seconds_total",
                     "host seconds spent lowering EnginePlan tables",
-                    labels=backend).inc(plan.build_seconds)
+                    labels=engine).inc(plan.build_seconds)
 
     # SimMPI matcher.
     reg.counter("mpi_match_probes_total",

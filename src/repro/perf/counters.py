@@ -79,16 +79,18 @@ exec_counters = ExecCounters()
 #: Snapshot keys that identify the run rather than count it; they ride
 #: along in snapshots but are carried through (not differenced) by
 #: :meth:`PerfReport.from_snapshots`.
-_META_KEYS = ("backend", "plan_build_seconds")
+_META_KEYS = ("backend", "transfer_path", "plan_build_seconds")
 
 
 def snapshot_counters(sim, world=None) -> dict:
     """Raw counter values of a simulator (and optionally its MPI world).
 
     Taken before and after a run, the difference is what the run cost.
-    Besides counters, the snapshot records which simulator backend ran
-    and how long its :class:`~repro.des.backends.plan.EnginePlan` took to
-    build (zero for the reference engine, which lowers nothing).
+    Besides counters, the snapshot records which simulator backend ran,
+    which transfer path its network took (``lowered`` slot records or the
+    ``reference`` callback chain; empty without a world), and how long its
+    :class:`~repro.des.backends.plan.EnginePlan` took to build (zero for
+    the reference engine, which lowers nothing).
     """
     counters = {
         "events_processed": sim.events_processed,
@@ -100,6 +102,7 @@ def snapshot_counters(sim, world=None) -> dict:
         "network_messages": 0,
         "network_bytes": 0,
         "backend": getattr(sim, "backend", "python"),
+        "transfer_path": "",
         "plan_build_seconds": 0.0,
     }
     if world is not None:
@@ -113,6 +116,7 @@ def snapshot_counters(sim, world=None) -> dict:
             network_messages=world.network.messages_sent,
             network_bytes=world.network.bytes_sent,
             backend=getattr(world, "backend", counters["backend"]),
+            transfer_path=world.network.transfer_path,
             plan_build_seconds=plan.build_seconds if plan is not None else 0.0,
         )
     return counters
@@ -140,8 +144,12 @@ class PerfReport:
     wildcard_hits: int = 0
     network_messages: int = 0
     network_bytes: int = 0
-    #: Which simulator core ran (``python`` / ``lowered`` / ``compiled``).
+    #: Which simulator core ran (``python`` / ``lowered``).
     backend: str = ""
+    #: Which transfer implementation carried the messages: ``lowered``
+    #: slot records, or the ``reference`` path (the python backend, and the
+    #: lowered backend's LINKS-contention and engine-tracer fallbacks).
+    transfer_path: str = ""
     #: Wall seconds spent building the backend's :class:`EnginePlan`
     #: tables before the run (zero for the reference engine).
     plan_build_seconds: float = 0.0
@@ -189,6 +197,9 @@ class PerfReport:
             num_cpis=num_cpis,
             label=label,
             backend=str(after.get("backend", before.get("backend", ""))),
+            transfer_path=str(
+                after.get("transfer_path", before.get("transfer_path", ""))
+            ),
             plan_build_seconds=float(
                 after.get(
                     "plan_build_seconds", before.get("plan_build_seconds", 0.0)
@@ -253,6 +264,7 @@ class PerfReport:
             "network_messages": self.network_messages,
             "network_bytes": self.network_bytes,
             "backend": self.backend,
+            "transfer_path": self.transfer_path,
             "plan_build_seconds": self.plan_build_seconds,
             "events_per_second": self.events_per_second,
             "probes_per_message": self.probes_per_message,
@@ -275,6 +287,8 @@ class PerfReport:
                 f"engine backend     {self.backend:>10s}"
                 f"   ({self.plan_build_seconds * 1e3:10.1f} ms plan build)"
             )
+        if self.transfer_path:
+            lines.append(f"transfer path      {self.transfer_path:>10s}")
         # Zero-valued counters are printed, not omitted: a silent omission
         # makes a before/after diff read as "unchanged" when the counter
         # actually collapsed to zero.

@@ -1,15 +1,16 @@
 """Backend registry, plan lowering, and cross-backend bit-identity.
 
-The whole value of the lowered/compiled simulator cores rests on one
-contract: they change *nothing* about the simulated behaviour — not one
+The whole value of the lowered simulator core, the default, rests on one
+contract: it changes *nothing* about the simulated behaviour — not one
 timestamp, not one detection.  These tests pin that contract three ways:
 
-* registry/resolution semantics (``auto`` fallback, explicit-``compiled``
-  error when the extension is absent, SimPoint validation);
+* registry/resolution semantics (None selects the lowered core, removed
+  core names are errors, SimPoint validation);
 * :class:`~repro.des.backends.plan.EnginePlan` tables equal the reference
   cost model value-for-value (same IEEE-754 operations, no reassociation);
 * golden Table 7 case 1 and a hypothesis property over randomized traffic
-  patterns, compared repr-exact across every available backend.
+  patterns, compared repr-exact against ``backend="python"``, the
+  reference checker.
 
 Cache-key coverage lives here too: results from different engine cores
 must never be conflated by :mod:`repro.exec.cache`.
@@ -23,7 +24,6 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.des.backends as backends_mod
 from repro import (
     Assignment,
     CPIStream,
@@ -36,13 +36,11 @@ from repro.core.assignment import CASE1, CASE3
 from repro.des import Simulator
 from repro.des.backends import (
     BACKEND_NAMES,
+    DEFAULT_BACKEND,
     ENGINE_SCHEMA,
-    CompiledBackend,
     EngineBackend,
     EnginePlan,
     LoweredBackend,
-    available_backends,
-    compiled_available,
     get_backend,
     resolve_backend,
     timed_plan,
@@ -55,27 +53,17 @@ from repro.mpi import ANY_SOURCE, ANY_TAG, World
 
 pytestmark = pytest.mark.backends
 
-needs_compiled = pytest.mark.skipif(
-    not compiled_available(),
-    reason="optional repro.des._despeed extension not built",
-)
-
-#: Every backend this process can actually run (used to parametrize the
-#: identity tests so they cover the compiled core exactly when present).
-ALL_BACKENDS = available_backends()
-
-
-def _no_compiled(monkeypatch):
-    """Make the process look like the C extension never built."""
-    monkeypatch.setattr(backends_mod, "_COMPILED_CORE", None)
-    monkeypatch.setattr(backends_mod, "_COMPILED_CHECKED", True)
+#: The cores checked against the reference (``python``) backend.
+FAST_BACKENDS = [name for name in BACKEND_NAMES if name != "python"]
 
 
 # -- registry and resolution ---------------------------------------------------------
 class TestResolution:
-    def test_none_keeps_the_reference_engine(self):
-        assert resolve_backend(None) == "python"
-        assert get_backend(None).name == "python"
+    def test_none_resolves_to_the_lowered_engine(self):
+        assert DEFAULT_BACKEND == "lowered"
+        assert resolve_backend(None) == "lowered"
+        assert get_backend(None).name == "lowered"
+        assert STAPPipeline(STAPParams.small(), CASE3).backend == "lowered"
 
     @pytest.mark.parametrize("name", BACKEND_NAMES[:2])
     def test_concrete_names_resolve_to_themselves(self, name):
@@ -85,34 +73,20 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="unknown simulator backend"):
             resolve_backend("fortran")
 
-    def test_auto_prefers_compiled_when_available(self):
-        expected = "compiled" if compiled_available() else "lowered"
-        assert resolve_backend("auto") == expected
-
-    def test_auto_falls_back_to_lowered_without_the_extension(self, monkeypatch):
-        _no_compiled(monkeypatch)
-        assert resolve_backend("auto") == "lowered"
-        assert available_backends() == ("python", "lowered")
-
-    def test_explicit_compiled_errors_without_the_extension(self, monkeypatch):
-        # An explicit request must not silently run on a slower core.
-        _no_compiled(monkeypatch)
-        with pytest.raises(ConfigurationError, match="not available"):
-            resolve_backend("compiled")
-        with pytest.raises(ConfigurationError):
-            get_backend("compiled")
+    @pytest.mark.parametrize("name", ["compiled", "auto"])
+    def test_removed_core_names_are_configuration_errors(self, name):
+        # The C core and its "fastest available" alias are gone; asking
+        # for them must fail loudly, not silently run another core.
+        with pytest.raises(ConfigurationError, match="unknown simulator backend"):
+            resolve_backend(name)
+        with pytest.raises(ConfigurationError, match="unknown simulator backend"):
+            SimPoint(STAPParams.small(), CASE3, backend=name)
 
     def test_backend_classes_and_simulator_tags(self):
         assert isinstance(get_backend("python"), EngineBackend)
         assert isinstance(get_backend("lowered"), LoweredBackend)
         assert get_backend("python").create_simulator().backend == "python"
         assert get_backend("lowered").create_simulator().backend == "lowered"
-
-    @needs_compiled
-    def test_compiled_backend_class_and_tag(self):
-        backend = get_backend("compiled")
-        assert isinstance(backend, CompiledBackend)
-        assert backend.create_simulator().backend == "compiled"
 
     def test_simpoint_validates_backend_names(self):
         with pytest.raises(ConfigurationError, match="unknown simulator backend"):
@@ -195,17 +169,15 @@ def _run_case1(backend):
 
 
 class TestGoldenCase1:
-    """Table 7 case 1 (236 nodes): every backend reproduces the reference
-    run repr-exactly — makespan, wire traffic, and all per-rank timings."""
+    """Table 7 case 1 (236 nodes): the lowered core reproduces the
+    reference run repr-exactly — makespan, wire traffic, and all per-rank
+    timings."""
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return _run_case1(None)
+        return _run_case1("python")
 
-    @pytest.mark.parametrize(
-        "backend",
-        [name for name in ALL_BACKENDS if name != "python"],
-    )
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_bit_identical_to_reference(self, reference, backend):
         result = _run_case1(backend)
         assert repr(result.makespan) == repr(reference.makespan)
@@ -247,12 +219,9 @@ class TestFunctionalParity:
             backend=backend,
         ).run()
 
-    @pytest.mark.parametrize(
-        "backend",
-        [name for name in ALL_BACKENDS if name != "python"],
-    )
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_detections_and_reports_identical(self, backend):
-        reference = self._run(None)
+        reference = self._run("python")
         result = self._run(backend)
         assert repr(result.makespan) == repr(reference.makespan)
         assert [
@@ -354,9 +323,7 @@ class TestBackendEquivalence:
         reference = _run_traffic(
             "python", num_ranks, messages, contention, use_wildcard
         )
-        for backend in ALL_BACKENDS:
-            if backend == "python":
-                continue
+        for backend in FAST_BACKENDS:
             got = _run_traffic(
                 backend, num_ranks, messages, contention, use_wildcard
             )
@@ -370,25 +337,25 @@ class TestCacheIdentity:
         assert CACHE_SCHEMA == 3
 
     def test_engine_fingerprint_resolves_and_carries_schema(self):
+        # 2: the lowered core became the default and the C core went.
+        assert ENGINE_SCHEMA == 2
         assert engine_fingerprint(None) == {
-            "backend": "python",
+            "backend": "lowered",
             "engine_schema": ENGINE_SCHEMA,
         }
-        assert engine_fingerprint("lowered")["backend"] == "lowered"
-        auto = engine_fingerprint("auto")["backend"]
-        assert auto == ("compiled" if compiled_available() else "lowered")
+        assert engine_fingerprint("python")["backend"] == "python"
 
     def test_keys_differ_across_backends_for_the_same_point(self):
         params = STAPParams.small()
         keys = {
             cache_key(SimPoint(params, CASE3, backend=backend))
-            for backend in (None, "lowered")
-            + (("compiled",) if compiled_available() else ())
+            for backend in BACKEND_NAMES
         }
-        assert len(keys) == 2 + int(compiled_available())
+        assert len(keys) == len(BACKEND_NAMES)
 
-    def test_auto_hashes_to_its_resolved_core(self):
+    def test_none_hashes_to_the_default_core(self):
         params = STAPParams.small()
-        auto_key = cache_key(SimPoint(params, CASE3, backend="auto"))
-        resolved = resolve_backend("auto")
-        assert auto_key == cache_key(SimPoint(params, CASE3, backend=resolved))
+        default_key = cache_key(SimPoint(params, CASE3))
+        assert default_key == cache_key(
+            SimPoint(params, CASE3, backend=DEFAULT_BACKEND)
+        )

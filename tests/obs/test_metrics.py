@@ -20,6 +20,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     SECONDS_BUCKETS,
+    is_host_time,
     metrics_registry,
     series_name,
     to_prometheus,
@@ -30,6 +31,8 @@ pytestmark = [pytest.mark.obs, pytest.mark.metrics]
 
 TINY = STAPParams.tiny()
 TINY_ASSIGNMENT = Assignment(2, 1, 2, 1, 1, 1, 1, name="metrics-test")
+#: Labels of the ``des_*`` series for a default (lowered-core) run.
+LOWERED = {"backend": "lowered", "transfer_path": "lowered"}
 
 
 @pytest.fixture(autouse=True)
@@ -205,8 +208,10 @@ class TestPipelineFlush:
         run_tiny()
         snap = metrics_registry.snapshot()
         assert snap.value("pipeline_runs_total") == 1
-        assert snap.value("des_events_total", {"backend": "python"}) > 0
-        assert snap.value("des_heap_depth_peak") > 0
+        # The default core ran, on its own transfer path.
+        assert snap.value("des_events_total", LOWERED) > 0
+        assert snap.value("des_heap_depth_peak", LOWERED) > 0
+        assert snap.value("des_plan_build_seconds_total", LOWERED) > 0
         assert snap.value("mpi_sends_total") == snap.value("mpi_recvs_total") > 0
         assert snap.value("net_messages_total") > 0
         assert snap.histogram("pipeline_makespan_seconds")["count"] == 1
@@ -221,14 +226,23 @@ class TestPipelineFlush:
         metrics_registry.enable(reset=True)
         run_tiny()
         events_one = metrics_registry.snapshot().value(
-            "des_events_total", {"backend": "python"}
+            "des_events_total", LOWERED
         )
+        assert events_one > 0
         run_tiny()
         snap = metrics_registry.snapshot()
         assert snap.value("pipeline_runs_total") == 2
-        assert snap.value(
-            "des_events_total", {"backend": "python"}
-        ) == 2 * events_one
+        assert snap.value("des_events_total", LOWERED) == 2 * events_one
+
+    def test_reference_and_links_runs_label_the_reference_path(self):
+        metrics_registry.enable(reset=True)
+        STAPPipeline(TINY, TINY_ASSIGNMENT, num_cpis=3, backend="python").run()
+        STAPPipeline(TINY, TINY_ASSIGNMENT, num_cpis=3, contention="links").run()
+        snap = metrics_registry.snapshot()
+        for backend in ("python", "lowered"):
+            labels = {"backend": backend, "transfer_path": "reference"}
+            assert snap.value("des_events_total", labels) > 0
+        assert snap.value("des_events_total", LOWERED) == 0
 
     def test_metered_case1_is_bit_identical(self):
         """Acceptance: Table 7 case 1 output unchanged by metrics."""
@@ -300,15 +314,23 @@ class TestWorkerMerge:
         # Worker snapshots were shipped and attached per point.
         assert all(o.metrics is not None for o in outcomes if not o.cached)
         # Virtual-time metrics are deterministic, so every counter, gauge
-        # and histogram matches exactly — except host-time kernel seconds,
-        # which are wall measurements (absent here: modeled mode runs no
-        # kernels).
+        # and histogram matches exactly.  Host-time series (plan building,
+        # kernel and per-point wall seconds) are wall measurements: they
+        # must be present on both sides with the same sign, nothing more.
         assert parallel.series() == serial.series()
-        assert parallel.data["counters"] == serial.data["counters"]
-        assert parallel.data["gauges"] == serial.data["gauges"]
+        host = [s for s in serial.series() if is_host_time(s)]
+        assert any(s.startswith("des_plan_build_seconds_total") for s in host)
+        for kind in ("counters", "gauges"):
+            for series, entry in serial.data[kind].items():
+                got = parallel.data[kind][series]
+                if is_host_time(series):
+                    assert (got["value"] > 0) == (entry["value"] > 0), series
+                    assert {**got, "value": 0} == {**entry, "value": 0}
+                else:
+                    assert got == entry, series
         for series, entry in serial.data["histograms"].items():
             got = parallel.data["histograms"][series]
-            if "exec_point_seconds" in series:
+            if is_host_time(series):
                 assert got["counts"] != [] and got["count"] == entry["count"]
             else:
                 assert got == entry, series

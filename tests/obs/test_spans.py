@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro import Assignment, STAPParams, STAPPipeline
-from repro.core.assignment import TASK_NAMES
+from repro.core.assignment import CASE3, TASK_NAMES
 from repro.des import Simulator
+from repro.errors import ConfigurationError
+from repro.machine.network import Network
 from repro.obs import (
     MessageRecord,
     Span,
@@ -236,6 +240,61 @@ class TestObservationIsPassive:
         for task, timings in plain.collector.timings.items():
             got = traced.collector.timings[task]
             assert [repr(t.t3) for t in timings] == [repr(t.t3) for t in got]
+
+
+# -- network link stats golden ---------------------------------------------------
+GOLDEN_LINKS = Path(__file__).resolve().parents[1] / "data" / "golden_link_stats.json"
+
+
+def _link_doc(result) -> dict:
+    """A traced run's network stats in the golden file's repr-exact form."""
+    sink = result.trace
+    return {
+        "makespan": repr(result.makespan),
+        "link_stats": [
+            [name, s.messages, s.nbytes, repr(s.busy_seconds), repr(s.wait_seconds)]
+            for name, s in sink.link_stats.items()
+        ],
+        "link_intervals": [
+            [name, [[repr(a), repr(b), n] for a, b, n in intervals]]
+            for name, intervals in sink.link_intervals.items()
+        ],
+    }
+
+
+class TestLinkStatsGolden:
+    """Table 7 case 3, small parameters, 3 CPIs: per-port messages, busy,
+    wait and bytes, and every hold interval, pinned to the values the
+    reference network's observed transfer path recorded."""
+
+    @pytest.mark.parametrize(
+        "sink",
+        [TraceSink(), TraceSink(max_messages=0)],
+        ids=["message-records", "no-message-records"],
+    )
+    def test_lowered_traced_run_matches_golden(self, sink, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("traced run left the slot-record path")
+
+        monkeypatch.setattr(Network, "_begin_transfer", refuse)
+        golden = json.loads(GOLDEN_LINKS.read_text())
+        result = STAPPipeline(
+            STAPParams.small(), CASE3, num_cpis=golden["num_cpis"], trace=sink
+        ).run()
+        assert _link_doc(result) == {
+            key: golden[key] for key in ("makespan", "link_stats", "link_intervals")
+        }
+
+    @pytest.mark.parametrize(
+        "config", [{"backend": "python"}, {"contention": "links"}],
+        ids=["python-backend", "links-contention"],
+    )
+    def test_traced_reference_path_is_a_configuration_error(self, config):
+        pipeline = STAPPipeline(
+            STAPParams.tiny(), TINY_ASSIGNMENT, num_cpis=2, trace=True, **config
+        )
+        with pytest.raises(ConfigurationError, match="lowered transfer path"):
+            pipeline.run()
 
 
 # -- metadata ----------------------------------------------------------------------

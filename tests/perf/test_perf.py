@@ -65,18 +65,46 @@ class TestCounters:
             "network_messages",
             "network_bytes",
             "backend",
+            "transfer_path",
             "plan_build_seconds",
         }
         # Counters start at zero; the meta keys identify the run instead.
         assert all(
             v == 0
             for k, v in snap.items()
-            if k not in ("backend", "plan_build_seconds")
+            if k not in ("backend", "transfer_path", "plan_build_seconds")
         )
         assert snap["backend"] == "python"
+        assert snap["transfer_path"] == "reference"
         assert snap["plan_build_seconds"] == 0.0
         # Simulator-only snapshot still carries every key.
         assert set(snapshot_counters(sim)) == set(snap)
+
+
+class TestTransferPath:
+    """Perf names the transfer implementation that actually ran, so a
+    fallback to the reference path is visible rather than silent."""
+
+    @pytest.mark.parametrize(
+        "backend, contention, path",
+        [
+            (None, "endpoint", "lowered"),
+            (None, "none", "lowered"),
+            (None, "links", "reference"),
+            ("python", "endpoint", "reference"),
+        ],
+    )
+    def test_perf_reports_the_transfer_path_that_ran(
+        self, backend, contention, path
+    ):
+        report = STAPPipeline(
+            STAPParams.tiny(), TINY_ASSIGNMENT, num_cpis=2, perf=True,
+            contention=contention, backend=backend,
+        ).run().perf
+        assert report.backend == (backend or "lowered")
+        assert report.transfer_path == path
+        assert report.to_dict()["transfer_path"] == path
+        assert f"transfer path      {path:>10s}" in report.summary()
 
 
 class TestPerfReport:

@@ -154,6 +154,10 @@ class TestDeliveryProperties:
         )
         assert got == sorted(range(len(messages)))
         assert world.outstanding_operations() == 0
+        # Drained queues are dropped, not kept empty: a finished run leaves
+        # no matcher state behind, whichever match paths it took.
+        assert not (world._sends_exact or world._recvs_exact
+                    or world._recvs_wild or world._send_keys)
 
         for dst, msgs in received.items():
             per_channel = defaultdict(list)

@@ -28,6 +28,17 @@ class TestCommands:
         assert "throughput" in out
         assert "case3" in out
 
+    def test_case_perf_names_core_and_transfer_path(self, capsys):
+        assert main(["case", "--name", "case3", "--cpis", "3", "--perf"]) == 0
+        out = capsys.readouterr().out
+        assert "engine backend        lowered" in out
+        assert "transfer path         lowered" in out
+
+    def test_removed_backend_names_rejected(self):
+        for name in ("compiled", "auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["case", "--backend", name])
+
     def test_roundrobin(self, capsys):
         assert main(["roundrobin", "--nodes", "5", "--cpis", "15"]) == 0
         out = capsys.readouterr().out

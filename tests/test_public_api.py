@@ -47,6 +47,32 @@ class TestTagSpaces:
         assert edge_tag("pc_to_cfar", max_cpis) < COLLECTIVE_TAG_BASE
         assert TAG_STRIDE * max_cpis < COLLECTIVE_TAG_BASE
 
+    def test_pipeline_tags_below_tag_limit(self):
+        """Pipeline edge tags stay below the lowered matcher's packed-key
+        bound, the one that binds by default, for any plausible run."""
+        from repro.core.redistribution import TAG_CODES, TAG_STRIDE, edge_tag
+        from repro.des.backends import TAG_LIMIT
+
+        max_cpis = 10_000
+        assert max(edge_tag(name, max_cpis) for name in TAG_CODES) < TAG_LIMIT
+        assert TAG_STRIDE * max_cpis < TAG_LIMIT
+
+    def test_pipeline_rejects_runs_past_the_tag_limit(self):
+        """The longest run whose tags fit is accepted; one CPI more is
+        refused before simulating, not mid-run by the matcher."""
+        from repro import CASE3, STAPParams, STAPPipeline
+        from repro.des.backends import TAG_LIMIT
+        from repro.errors import ConfigurationError
+
+        # Last tag: (num_cpis - 1) * TAG_STRIDE + 8 (the pc_to_cfar code).
+        assert (262_144 - 1) * 16 + 8 < TAG_LIMIT <= 262_144 * 16 + 8
+        STAPPipeline(STAPParams.small(), CASE3, num_cpis=262_144)
+        with pytest.raises(ConfigurationError, match="tags up to"):
+            STAPPipeline(STAPParams.small(), CASE3, num_cpis=262_145)
+        # The reference checker's matcher has no packed-key bound.
+        STAPPipeline(STAPParams.small(), CASE3, num_cpis=262_145,
+                     backend="python")
+
     def test_edge_tags_unique_per_cpi(self):
         from repro.core.redistribution import TAG_CODES, edge_tag
 
