@@ -86,11 +86,17 @@ def _warm_start(params_batch: Sequence) -> None:
     delta).  Only default-steering plans are content-addressable by
     params, which is exactly what :func:`repro.stap.plan.default_plan`
     caches — points with explicit steering simply skip the warm plan.
+
+    The pool's workers already occupy the cores, so each runs its
+    kernels on one thread (:mod:`repro.stap.threads`).
     """
     import numpy  # noqa: F401  (resident for every kernel call)
     import scipy.linalg  # noqa: F401  (the LSQ solver's import)
 
     from repro.stap.plan import default_plan
+    from repro.stap.threads import set_kernel_threads
+
+    set_kernel_threads(1)
 
     for params in params_batch:
         try:

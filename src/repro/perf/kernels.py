@@ -65,9 +65,11 @@ class KernelCounters:
 
     A module singleton (:data:`kernel_counters`) is shared by all
     instrumented kernels; :meth:`timed` is the single hot-path entry
-    point.  Not thread-safe — enable it around single-threaded
-    measurement regions only (the functional pipeline runs the numerics
-    on one thread).
+    point.  Recording is not locked: each kernel records exactly once per
+    call, from the thread that called it, after any split across kernel
+    threads (:mod:`repro.stap.threads`) has finished — so a split call is
+    one entry whose seconds are the wall time of the whole call.  Enable
+    it around regions where one thread calls the kernels.
     """
 
     def __init__(self) -> None:

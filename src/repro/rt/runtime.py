@@ -43,6 +43,7 @@ from repro.rt.stages import RtContext, run_stage
 from repro.stap.detection import DetectionReport
 from repro.stap.plan import KernelPlan
 from repro.stap.reference import default_steering
+from repro.stap.threads import set_kernel_threads
 
 #: Parent poll interval on the result queue (seconds).
 _POLL_SECONDS = 0.1
@@ -53,7 +54,12 @@ _JOIN_SECONDS = 10.0
 
 
 def _worker_entry(ctx: RtContext, stage: str, replica: int) -> None:
-    """Process target: run one stage replica, always report how it ended."""
+    """Process target: run one stage replica, always report how it ended.
+
+    The workers already occupy the cores, so kernels here run on one
+    thread (:mod:`repro.stap.threads`).
+    """
+    set_kernel_threads(1)
     if ctx.metered:
         metrics_registry.enable(reset=True)
     try:

@@ -84,7 +84,7 @@ class SequentialSTAP:
         if hard_w is None:
             hard_w = self.hard.compute_weights(azimuth)  # quiescent
 
-        easy_in = staggered[params.easy_bins][:, : params.num_channels, :]
+        easy_in = staggered[params.easy_bins, : params.num_channels, :]
         hard_in = staggered[params.hard_bins]
         easy_y = beamform_easy(easy_in, easy_w, params)
         hard_y = beamform_hard(hard_in, hard_w, params)
