@@ -25,6 +25,7 @@ row-for-row with Table 1.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
@@ -65,16 +66,21 @@ class KernelCounters:
 
     A module singleton (:data:`kernel_counters`) is shared by all
     instrumented kernels; :meth:`timed` is the single hot-path entry
-    point.  Recording is not locked: each kernel records exactly once per
-    call, from the thread that called it, after any split across kernel
-    threads (:mod:`repro.stap.threads`) has finished — so a split call is
-    one entry whose seconds are the wall time of the whole call.  Enable
-    it around regions where one thread calls the kernels.
+    point.  Each kernel records exactly once per call, from the thread
+    that called it, after any split across kernel threads
+    (:mod:`repro.stap.threads`) has finished — so a split call is one
+    entry whose seconds are the wall time of the whole call.  Kernels may
+    be called from several threads at once (the sequential reference runs
+    its detection and weight branches side by side), so recording is
+    locked; calls, flops and the per-kernel seconds do not depend on the
+    overlap, but the seconds of overlapping kernels sum to more than the
+    region's wall time.
     """
 
     def __init__(self) -> None:
         self.enabled: bool = False
         self._stats: Dict[str, KernelStats] = {}
+        self._lock = threading.Lock()
 
     # -- lifecycle ----------------------------------------------------------------
     def enable(self, reset: bool = True) -> None:
@@ -118,12 +124,13 @@ class KernelCounters:
 
     def record(self, kernel: str, seconds: float, flops: float = 0.0) -> None:
         """Credit one call directly (for callers that time themselves)."""
-        stats = self._stats.get(kernel)
-        if stats is None:
-            stats = self._stats[kernel] = KernelStats()
-        stats.calls += 1
-        stats.seconds += seconds
-        stats.flops += flops
+        with self._lock:
+            stats = self._stats.get(kernel)
+            if stats is None:
+                stats = self._stats[kernel] = KernelStats()
+            stats.calls += 1
+            stats.seconds += seconds
+            stats.flops += flops
 
     # -- output -------------------------------------------------------------------
     def stats(self) -> Dict[str, KernelStats]:

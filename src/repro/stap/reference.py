@@ -1,21 +1,27 @@
 """Sequential reference implementation of the full STAP chain.
 
-This is the "golden" single-process version against which the parallel
-pipeline is verified.  It reproduces the pipeline's *temporal* semantics
-exactly (Section 5): the weights applied to CPI *i* are computed from the
-Doppler-filtered data of CPI *i-1* and earlier looks in the same azimuth —
-"the filtered CPI data sent to the beamforming tasks do not wait for the
-completion of its weight computation but rather for the completion of the
-weight computation of the previous CPI."
+This is the "golden" version against which the parallel pipeline is
+verified: one process, one CPI at a time, no message passing.  It
+reproduces the pipeline's *temporal* semantics exactly (Section 5): the
+weights applied to CPI *i* are computed from the Doppler-filtered data of
+CPI *i-1* and earlier looks in the same azimuth — "the filtered CPI data
+sent to the beamforming tasks do not wait for the completion of its
+weight computation but rather for the completion of the weight
+computation of the previous CPI."
 
 Per-CPI flow::
 
-    raw cube --Doppler filter--> staggered cube
-        --beamform with *pending* weights--> beams
-        --pulse compression--> power
-        --CFAR--> detection report
-    then: train easy/hard weight computers on THIS CPI's staggered data,
-    producing the pending weights for the next visit to this azimuth.
+    raw cube --Doppler filter--> staggered cube, then two branches:
+      detection: beamform with the *pending* weights --> beams
+                 --pulse compression--> power --CFAR--> detection report
+      training:  train easy/hard weight computers on THIS CPI's staggered
+                 data, producing the pending weights for the next visit
+                 to this azimuth.
+
+The branches share only read-only inputs, so — as in the paper, where the
+weight tasks run beside beamforming, pulse compression and CFAR — they
+run at once on the kernel threads (:func:`repro.stap.threads.run_beside`);
+a one-thread process runs detection, then training.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.stap.doppler import doppler_filter
 from repro.stap.easy_weights import EasyWeightComputer, extract_easy_training
 from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
 from repro.stap.pulse_compression import pulse_compress
+from repro.stap.threads import run_beside
 
 
 def default_steering(params: STAPParams) -> np.ndarray:
@@ -42,7 +49,12 @@ def default_steering(params: STAPParams) -> np.ndarray:
 
 
 class SequentialSTAP:
-    """Process a CPI stream sequentially, maintaining weight state."""
+    """Process a CPI stream one CPI at a time, maintaining weight state.
+
+    Within a CPI the detection and training branches overlap on the
+    process's kernel threads; the reports and weights are the same bits
+    for any thread budget.
+    """
 
     def __init__(
         self,
@@ -72,7 +84,14 @@ class SequentialSTAP:
 
     # -- per-CPI processing -----------------------------------------------------
     def process(self, cube: CPIDataCube) -> DetectionReport:
-        """Process one CPI; updates weight state for the next visit."""
+        """Process one CPI; updates weight state for the next visit.
+
+        Detection runs on the kernel pool beside training on the calling
+        thread (one-thread processes: detection, then training).  If
+        either branch raises, the call waits for the other to stop and
+        re-raises; if both raise, training's exception wins.
+        Training may then have replaced this azimuth's pending weights.
+        """
         params = self.params
         azimuth = cube.azimuth
         staggered = doppler_filter(cube, window=self.plan.doppler_window)
@@ -84,21 +103,28 @@ class SequentialSTAP:
         if hard_w is None:
             hard_w = self.hard.compute_weights(azimuth)  # quiescent
 
-        easy_in = staggered[params.easy_bins, : params.num_channels, :]
-        hard_in = staggered[params.hard_bins]
-        easy_y = beamform_easy(easy_in, easy_w, params)
-        hard_y = beamform_hard(hard_in, hard_w, params)
-        beams = assemble_beamformed(easy_y, hard_y, params)
+        # Detection reads only easy_w/hard_w as captured here: training
+        # replaces the dict entries with new arrays and never writes the
+        # old ones in place.
+        def detect():
+            easy_in = staggered[params.easy_bins, : params.num_channels, :]
+            hard_in = staggered[params.hard_bins]
+            easy_y = beamform_easy(easy_in, easy_w, params)
+            hard_y = beamform_hard(hard_in, hard_w, params)
+            beams = assemble_beamformed(easy_y, hard_y, params)
+            power = pulse_compress(beams, params, self._replica)
+            return cfar_detect(power, params, factor=self.plan.cfar_factor)
 
-        power = pulse_compress(beams, params, self._replica)
-        detections = cfar_detect(power, params, factor=self.plan.cfar_factor)
+        # Train on this CPI for the *next* visit to this azimuth.  The
+        # calling thread trains, so the hard weight split can take both
+        # cores once detection ends.
+        def train():
+            self.easy.push_training(extract_easy_training(staggered, params), azimuth)
+            self.hard.update(extract_hard_training(staggered, params), azimuth)
+            self._easy_weights[azimuth] = self.easy.compute_weights(azimuth)
+            self._hard_weights[azimuth] = self.hard.compute_weights(azimuth)
 
-        # Train on this CPI for the *next* visit to this azimuth.
-        self.easy.push_training(extract_easy_training(staggered, params), azimuth)
-        self.hard.update(extract_hard_training(staggered, params), azimuth)
-        self._easy_weights[azimuth] = self.easy.compute_weights(azimuth)
-        self._hard_weights[azimuth] = self.hard.compute_weights(azimuth)
-
+        detections, _ = run_beside(detect, train)
         return DetectionReport(cpi_index=cube.cpi_index, detections=tuple(detections))
 
     def process_stream(self, cubes: Iterable[CPIDataCube]) -> list[DetectionReport]:

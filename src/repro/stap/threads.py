@@ -16,6 +16,12 @@ occupy the cores — forked :mod:`repro.rt` workers and :mod:`repro.exec`
 pool workers — pin it to 1 with :func:`set_kernel_threads`.  A forked
 child drops the pool it inherited and creates its own on first use: the
 inherited pool has no threads, and a submit to it would never run.
+
+:func:`run_beside` runs two independent pieces of work at once on the
+same pool — the sequential reference's detection and weight branches
+(:mod:`repro.stap.reference`).  A caller waiting for work it submitted
+first takes back whatever no pool thread has started and runs it itself,
+so a split nested in pooled work never waits on a busy pool.
 """
 
 from __future__ import annotations
@@ -23,10 +29,14 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import wait
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, TypeVar
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+_Side = TypeVar("_Side")
+_Main = TypeVar("_Main")
 
 #: Pinned thread budget, or None to follow the CPU affinity.
 _budget: Optional[int] = None
@@ -86,6 +96,22 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
+def _settle(future: Future, call: Callable[[], object]) -> Optional[BaseException]:
+    """Finish a submitted ``call`` and return what it raised, or None.
+
+    A call no pool thread has started is cancelled and run here: waiting
+    on it could deadlock when every pool thread is busy with work that
+    waits on this caller, as in a split nested inside :func:`run_beside`.
+    """
+    if not future.cancel():
+        return future.exception()
+    try:
+        call()
+    except Exception as error:  # re-raised by the caller once all chunks finish
+        return error
+    return None
+
+
 def split_batch(run: Callable[[int, int], None], total: int,
                 min_chunk: int) -> None:
     """Call ``run(lo, hi)`` over contiguous chunks covering ``[0, total)``.
@@ -93,18 +119,50 @@ def split_batch(run: Callable[[int, int], None], total: int,
     Uses :func:`split_chunks` chunks; with one, ``run(0, total)``
     executes on the calling thread alone.  Chunks write disjoint slices
     of the kernel's output, and the call returns only once every chunk
-    has finished.
+    has finished; a chunk the pool has not started by then runs on the
+    calling thread.  The first chunk's error wins, then the others' in
+    order.
     """
     chunks = split_chunks(total, min_chunk)
     if chunks == 1:
         run(0, total)
         return
     bounds = [total * index // chunks for index in range(chunks + 1)]
+    rest = list(zip(bounds[1:-1], bounds[2:]))
     pool = _executor()
-    futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [pool.submit(run, lo, hi) for lo, hi in rest]
     try:
         run(bounds[0], bounds[1])
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        errors = [_settle(future, partial(run, lo, hi))
+                  for future, (lo, hi) in zip(futures, rest)]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def run_beside(side: Callable[[], _Side],
+               main: Callable[[], _Main]) -> Tuple[_Side, _Main]:
+    """Run ``side()`` on the pool beside ``main()`` on the calling thread.
+
+    Returns ``(side(), main())`` only once both have finished.  With a
+    one-thread budget, or when no pool thread has started ``side`` by the
+    time ``main`` returns, ``side`` runs on the calling thread — first
+    in the one-thread case, so that the order is side, then main.
+
+    If ``main`` raises, ``side`` is dropped when it has not started and
+    waited for when it has, and ``main``'s exception propagates — it wins
+    when both raise.  If only ``side`` raises, its exception propagates
+    after ``main`` has finished.
+    """
+    if kernel_threads() == 1:
+        return side(), main()
+    future = _executor().submit(side)
+    try:
+        main_result = main()
+    except BaseException:
+        if not future.cancel():
+            wait([future])
+        raise
+    side_result = side() if future.cancel() else future.result()
+    return side_result, main_result

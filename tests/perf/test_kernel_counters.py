@@ -1,5 +1,8 @@
 """Kernel counters: opt-in timing/flops accounting for the STAP kernels."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.perf import KernelCounters, achieved_vs_table1, kernel_counters
@@ -26,6 +29,33 @@ class TestCounterMechanics:
         with counters.timed("doppler", 100.0):
             pass
         assert counters.stats() == {}
+
+    def test_concurrent_records_are_not_lost(self):
+        """More recording threads than cores, switching as often as the
+        interpreter allows, each kernel's first record contended: every
+        call, second and flop is counted."""
+        counters = KernelCounters()
+        counters.enable()
+        names = [f"kernel{index}" for index in range(2000)]
+
+        def record():
+            for name in names:
+                counters.record(name, 1.0, 2.0)
+
+        workers = [threading.Thread(target=record) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(counters.stats()) == sorted(names)
+        for stats in counters.stats().values():
+            assert (stats.calls, stats.seconds, stats.flops) == (8, 8.0, 16.0)
 
     def test_record_accumulates(self):
         counters = KernelCounters()
