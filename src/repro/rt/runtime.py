@@ -43,7 +43,7 @@ from repro.rt.stages import RtContext, run_stage
 from repro.stap.detection import DetectionReport
 from repro.stap.plan import KernelPlan
 from repro.stap.reference import default_steering
-from repro.stap.threads import set_kernel_threads
+from repro.stap.threads import one_thread_children
 
 #: Parent poll interval on the result queue (seconds).
 _POLL_SECONDS = 0.1
@@ -57,9 +57,9 @@ def _worker_entry(ctx: RtContext, stage: str, replica: int) -> None:
     """Process target: run one stage replica, always report how it ended.
 
     The workers already occupy the cores, so kernels here run on one
-    thread (:mod:`repro.stap.threads`).
+    thread, BLAS included: the parent forks every worker inside
+    :func:`~repro.stap.threads.one_thread_children`.
     """
-    set_kernel_threads(1)
     if ctx.metered:
         metrics_registry.enable(reset=True)
     try:
@@ -219,37 +219,40 @@ class ParallelSTAP:
 
         start_time = perf_counter()
         deadline = None if timeout is None else start_time + timeout
-        try:
-            for stage, replica in specs:
-                proc = mp_ctx.Process(
-                    target=_worker_entry, args=(ctx, stage, replica),
-                    name=f"rt-{stage}-{replica}", daemon=True)
-                proc.start()
-                workers[(stage, replica)] = proc
+        # The workers inherit one-thread kernels and BLAS; the parent gets
+        # its own counts back only once every worker has exited.
+        with one_thread_children():
+            try:
+                for stage, replica in specs:
+                    proc = mp_ctx.Process(
+                        target=_worker_entry, args=(ctx, stage, replica),
+                        name=f"rt-{stage}-{replica}", daemon=True)
+                    proc.start()
+                    workers[(stage, replica)] = proc
 
-            while len(done) < len(specs):
-                try:
-                    handle(result_q.get(timeout=_POLL_SECONDS))
-                    continue
-                except _queue.Empty:
-                    pass
-                if deadline is not None and perf_counter() > deadline:
+                while len(done) < len(specs):
+                    try:
+                        handle(result_q.get(timeout=_POLL_SECONDS))
+                        continue
+                    except _queue.Empty:
+                        pass
+                    if deadline is not None and perf_counter() > deadline:
+                        raise PipelineError(
+                            f"parallel run exceeded {timeout} s "
+                            f"({len(done)}/{len(specs)} workers finished, "
+                            f"{len(reports)}/{self.num_cpis} reports)")
+                    self._check_liveness(workers, done, result_q, handle)
+
+                if len(reports) != self.num_cpis:
+                    missing = sorted(set(range(self.num_cpis)) - set(reports))
                     raise PipelineError(
-                        f"parallel run exceeded {timeout} s "
-                        f"({len(done)}/{len(specs)} workers finished, "
-                        f"{len(reports)}/{self.num_cpis} reports)")
-                self._check_liveness(workers, done, result_q, handle)
-
-            if len(reports) != self.num_cpis:
-                missing = sorted(set(range(self.num_cpis)) - set(reports))
-                raise PipelineError(
-                    f"workers finished but reports are missing for CPIs "
-                    f"{missing[:8]}{'...' if len(missing) > 8 else ''}")
-        except BaseException:
-            abort.set()
-            raise
-        finally:
-            self._shutdown(workers, channels, result_q, abort)
+                        f"workers finished but reports are missing for CPIs "
+                        f"{missing[:8]}{'...' if len(missing) > 8 else ''}")
+            except BaseException:
+                abort.set()
+                raise
+            finally:
+                self._shutdown(workers, channels, result_q, abort)
 
         return self._finish(reports, starts, start_time, merged)
 

@@ -9,7 +9,8 @@ consumer is behind, which is the backpressure rule) and a *data queue* of
 ``(slot, cpi)`` descriptors.  Arrays cross the process boundary as numpy
 views over the mapped slot, so a CPI-sized payload costs one ``memcpy``
 into the slot on send and zero copies on receive; only the tiny
-descriptor is pickled.
+descriptor is pickled.  A producer that can compute straight into the
+slot claims it, fills the view and publishes it instead — no copy at all.
 
 Channels are created by the parent before forking and inherited by the
 workers, so no shared-memory segment is ever attached by name (which
@@ -76,20 +77,27 @@ class ShmChannel:
                           buffer=self._slots[slot].buf)
 
     # -- producer side -----------------------------------------------------------
-    def send(self, array: np.ndarray, cpi: int, abort,
-             wait_observer=None) -> None:
-        """Copy ``array`` into a free slot and publish it for ``cpi``.
+    def claim(self, abort, wait_observer=None) -> int:
+        """Take a free slot for the producer to fill; returns its index.
 
         Blocks while every slot is still held by the consumer — the
         double-buffering backpressure that keeps at most ``depth`` CPIs of
         this edge in flight per channel.
         """
         if wait_observer is None:
-            slot = abortable_get(self._free, abort)
-        else:
-            slot = wait_observer(lambda: abortable_get(self._free, abort))
-        self.view(slot)[...] = array
+            return abortable_get(self._free, abort)
+        return wait_observer(lambda: abortable_get(self._free, abort))
+
+    def publish(self, slot: int, cpi: int) -> None:
+        """Hand a filled slot (from :meth:`claim`) to the consumer as ``cpi``."""
         self._data.put((slot, cpi))
+
+    def send(self, array: np.ndarray, cpi: int, abort,
+             wait_observer=None) -> None:
+        """Copy ``array`` into a claimed slot and publish it for ``cpi``."""
+        slot = self.claim(abort, wait_observer)
+        self.view(slot)[...] = array
+        self.publish(slot, cpi)
 
     # -- consumer side -----------------------------------------------------------
     def recv(self, expect_cpi: int, abort,
