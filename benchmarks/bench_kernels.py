@@ -2,9 +2,9 @@
 
 Unlike the simulator-speed benchmarks this module measures the *numerical*
 hot path: the stacked weight kernels of :mod:`repro.stap` against the
-per-bin loop references they replaced (``compute_easy_weights_loop``,
-``update_r_block_loop``, ``compute_hard_weights_loop`` — the exact
-pre-batching implementations, kept as ground truth), plus the end-to-end
+per-bin loop references they replaced (``compute_easy_weights_loop`` and
+per-unit loops over the hard weight kernels — the exact pre-batching
+implementations, kept as ground truth), plus the end-to-end
 functional chain before/after.  Four sections, beside the host's
 ``usable_cpus`` and the ``kernel_threads`` the split kernels use:
 
@@ -49,7 +49,7 @@ from repro import (
 from repro.perf import achieved_vs_table1, kernel_counters
 from repro.stap import easy_weights as ew
 from repro.stap import hard_weights as hw
-from repro.stap.doppler import doppler_filter_block, min_split_cells
+from repro.stap.doppler import doppler_filter_block, min_split_cells, stagger_phase
 from repro.stap.flops import doppler_flops
 from repro.stap.lsq import qr_append_rows, solve_constrained
 from repro.stap.threads import (
@@ -109,30 +109,18 @@ def _compute_hard_weights_units_loop(state, steering, phases, beam_weight, freq_
 def loop_kernels():
     """Patch the per-bin loop kernels back in — the seed implementation.
 
-    Covers both call paths: the module globals the sequential reference's
-    weight computers resolve at call time, and the names the parallel
-    weight tasks bound at import time.
+    The weight computers resolve these module globals at call time, and
+    every path (the sequential reference, the pipeline's weight tasks)
+    computes its weights through them.
     """
-    from repro.core.tasks import easy_weight_task, hard_weight_task
-
     saved = [
         (ew, "compute_easy_weights", ew.compute_easy_weights),
-        (hw, "update_r_block", hw.update_r_block),
-        (hw, "compute_hard_weights", hw.compute_hard_weights),
-        (easy_weight_task, "compute_easy_weights", easy_weight_task.compute_easy_weights),
-        (hard_weight_task, "update_r_units", hard_weight_task.update_r_units),
-        (
-            hard_weight_task,
-            "compute_hard_weights_units",
-            hard_weight_task.compute_hard_weights_units,
-        ),
+        (hw, "update_r_units", hw.update_r_units),
+        (hw, "compute_hard_weights_units", hw.compute_hard_weights_units),
     ]
     ew.compute_easy_weights = ew.compute_easy_weights_loop
-    hw.update_r_block = hw.update_r_block_loop
-    hw.compute_hard_weights = hw.compute_hard_weights_loop
-    easy_weight_task.compute_easy_weights = ew.compute_easy_weights_loop
-    hard_weight_task.update_r_units = _update_r_units_loop
-    hard_weight_task.compute_hard_weights_units = _compute_hard_weights_units_loop
+    hw.update_r_units = _update_r_units_loop
+    hw.compute_hard_weights_units = _compute_hard_weights_units_loop
     try:
         yield
     finally:
@@ -156,7 +144,7 @@ def bench_weight_kernels(params: STAPParams, repeats: int = 3) -> dict:
     J, n2, M = params.num_channels, params.num_staggered_channels, params.num_beams
     S, B = params.num_segments, params.num_hard_doppler
     steering = SequentialSTAP(params).steering
-    phases = hw.stagger_phase(params, params.hard_bins)
+    phases = stagger_phase(params, params.hard_bins)
 
     def crandn(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -175,29 +163,29 @@ def bench_weight_kernels(params: STAPParams, repeats: int = 3) -> dict:
     records["easy_weight"] = _kernel_record(loop_s, batched_s, identical)
 
     # Hard recursion update: stacked block QR over all (segment, bin) units.
-    training = crandn(S, B, params.hard_train_samples, n2)
-    state0 = np.zeros((S, B, n2, n2), dtype=complex)
-    hw.update_r_block(state0, training, params.forgetting_factor)  # warm state
+    training = crandn(S * B, params.hard_train_samples, n2)
+    state0 = np.zeros((S * B, n2, n2), dtype=complex)
+    hw.update_r_units(state0, training, params.forgetting_factor)  # warm state
 
     def run_update(fn):
         state = state0.copy()
         fn(state, training, params.forgetting_factor)
         return state
 
-    loop_s = _best_of(lambda: run_update(hw.update_r_block_loop), repeats)
-    batched_s = _best_of(lambda: run_update(hw.update_r_block), repeats)
+    loop_s = _best_of(lambda: run_update(_update_r_units_loop), repeats)
+    batched_s = _best_of(lambda: run_update(hw.update_r_units), repeats)
     identical = np.array_equal(
-        run_update(hw.update_r_block), run_update(hw.update_r_block_loop)
+        run_update(hw.update_r_units), run_update(_update_r_units_loop)
     )
     records["hard_weight_update"] = _kernel_record(loop_s, batched_s, identical)
 
     # Hard constrained solve over the warm state.
-    args = (state0, steering, phases, params.beam_constraint_weight,
+    args = (state0, steering, np.tile(phases, S), params.beam_constraint_weight,
             params.freq_constraint_weight)
-    loop_s = _best_of(lambda: hw.compute_hard_weights_loop(*args), repeats)
-    batched_s = _best_of(lambda: hw.compute_hard_weights(*args), repeats)
+    loop_s = _best_of(lambda: _compute_hard_weights_units_loop(*args), repeats)
+    batched_s = _best_of(lambda: hw.compute_hard_weights_units(*args), repeats)
     identical = np.array_equal(
-        hw.compute_hard_weights(*args), hw.compute_hard_weights_loop(*args)
+        hw.compute_hard_weights_units(*args), _compute_hard_weights_units_loop(*args)
     )
     records["hard_weight_solve"] = _kernel_record(loop_s, batched_s, identical)
     return records

@@ -15,7 +15,7 @@ from repro import CPIStream, RadarScenario, STAPParams
 from repro.stap.angle_doppler import adapted_pattern, angle_doppler_spectrum
 from repro.stap.doppler import doppler_filter
 from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
-from repro.stap.reference import default_steering
+from repro.stap.plan import default_plan
 
 GLYPHS = " .:-=+*#%@"
 
@@ -45,8 +45,7 @@ def main() -> None:
     print()
 
     # Train hard weights, then show the adapted pattern for one hard bin.
-    steering = default_steering(params)
-    computer = HardWeightComputer(params, steering)
+    computer = HardWeightComputer(default_plan(params))
     for cpi in range(3):
         stag = doppler_filter(CPIStream(params, scenario).cube(cpi))
         computer.update(extract_hard_training(stag, params))

@@ -16,8 +16,7 @@ from repro.stap.beamform import beamform_easy, beamform_hard
 from repro.stap.doppler import doppler_filter, nearest_bin
 from repro.stap.easy_weights import EasyWeightComputer, extract_easy_training
 from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
-from repro.stap.lsq import quiescent_weights
-from repro.stap.reference import default_steering
+from repro.stap.plan import default_plan
 
 
 def db(x: float) -> float:
@@ -26,15 +25,15 @@ def db(x: float) -> float:
 
 def main() -> None:
     params = STAPParams.small()
-    steering = default_steering(params)
+    plan = default_plan(params)
     target = TargetTruth(
         range_cell=60, normalized_doppler=0.06, angle_deg=-10.0, snr_db=10.0
     )
     scenario = RadarScenario(clutter_to_noise_db=40.0, targets=(target,), seed=3)
     stream = CPIStream(params, scenario)
 
-    easy_computer = EasyWeightComputer(params, steering)
-    hard_computer = HardWeightComputer(params, steering)
+    easy_computer = EasyWeightComputer(plan)
+    hard_computer = HardWeightComputer(plan)
 
     # Train on three CPIs (the paper's easy-bin training depth).
     for cube in stream.take(3):
@@ -50,10 +49,8 @@ def main() -> None:
 
     adaptive_easy = easy_computer.compute_weights()
     adaptive_hard = hard_computer.compute_weights()
-    quiescent_easy = np.broadcast_to(
-        quiescent_weights(steering)[None], adaptive_easy.shape
-    ).copy()
-    quiescent_hard = HardWeightComputer(params, steering).compute_weights()
+    quiescent_easy = EasyWeightComputer(plan).compute_weights()
+    quiescent_hard = HardWeightComputer(plan).compute_weights()
 
     print("clutter output power (mean |y|^2 over bins, beams, ranges):")
     for label, weights in (("quiescent", quiescent_easy), ("adaptive ", adaptive_easy)):

@@ -247,13 +247,6 @@ class STAPPipeline:
                     kwargs["source"] = self._cube if self.functional else None
                     if self.input_rate is not None:
                         kwargs["input_period"] = 1.0 / self.input_rate
-                elif task_name in (
-                    "easy_weight",
-                    "hard_weight",
-                    "easy_beamform",
-                    "hard_beamform",
-                ):
-                    kwargs["steering"] = self.steering
                 world_rank = self.layout.world_rank(task_name, local_rank)
                 tasks[world_rank] = cls(self.layout, local_rank, **kwargs)
         return tasks

@@ -34,6 +34,7 @@ from typing import Any, Dict, Optional
 from repro.core.layout import PipelineLayout
 from repro.core.metrics import TaskTiming
 from repro.core.redistribution import edge_tag
+from repro.errors import ConfigurationError
 from repro.mpi.context import RankContext
 
 #: Sentinel payload used in modeled mode (sizes matter, contents don't).
@@ -106,11 +107,14 @@ class PipelineTask(abc.ABC):
         self.num_cpis = num_cpis
         self.collector = collector
         self.functional = functional
-        #: Optional :class:`~repro.stap.plan.KernelPlan` — per-run constants
-        #: (windows, replica spectrum, quiescent weights, CFAR factors)
-        #: computed once by the pipeline and shared by every task.  Tasks
-        #: fall back to computing their own pieces at setup when absent
-        #: (direct construction in tests); numerics are identical.
+        #: The :class:`~repro.stap.plan.KernelPlan` — per-run constants
+        #: (steering, windows, replica spectrum, cold-start weights, CFAR
+        #: factors) computed once by the pipeline and shared by every task.
+        #: Functional tasks require it; modeled tasks run no kernel.
+        if functional and plan is None:
+            raise ConfigurationError(
+                f"functional {self.name} task needs a KernelPlan"
+            )
         self.plan = plan
         #: Iterations between a weight task training on CPI i and those
         #: weights being applied (= azimuth revisit period; 1 when every

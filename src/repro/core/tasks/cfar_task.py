@@ -16,7 +16,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.core.task import PipelineTask
-from repro.stap.cfar import cfar_detect, cfar_threshold_factor, reference_cell_counts
+from repro.stap.cfar import cfar_detect
 from repro.stap.flops import cfar_flops
 
 
@@ -30,18 +30,7 @@ class CfarTask(PipelineTask):
         self._pc_msgs = {
             m.src: m for m in self.layout.plan("pc_to_cfar").recvs_of(self.local_rank)
         }
-        # alpha / counts threshold factor: once per run, not once per CPI.
-        if not self.functional:
-            self._factor = None
-            self._power_buf = None
-        else:
-            if self.plan is not None:
-                self._factor = self.plan.cfar_factor
-            else:
-                counts = reference_cell_counts(self.params)
-                self._factor = (
-                    cfar_threshold_factor(counts, self.params.cfar_pfa) / counts
-                )
+        if self.functional:
             # Input assembly buffer, reused across CPIs: the incoming pulse
             # compression messages tile the bin axis identically every
             # iteration, so no stale row survives a CPI.
@@ -69,6 +58,6 @@ class CfarTask(PipelineTask):
         for src, payload in received.get("pc_to_cfar", {}).items():
             power[self._pc_msgs[src].dst_pos] = payload
         self._latest_detections = cfar_detect(
-            power, self.params, bin_ids=self.bins, factor=self._factor
+            power, self.params, bin_ids=self.bins, factor=self.plan.cfar_factor
         )
         return []

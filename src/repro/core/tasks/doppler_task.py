@@ -18,7 +18,6 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
-from repro.radar.windows import window_by_name
 from repro.stap.doppler import doppler_filter_block
 from repro.stap.flops import doppler_flops
 
@@ -52,17 +51,6 @@ class DopplerTask(PipelineTask):
         self.input_period = input_period
         self.input_offset = input_offset
         self.k_lo, self.k_hi = self.layout.k_partition.bounds(self.local_rank)
-        # Filter-bank window: once per run, not once per CPI.
-        if not self.functional:
-            self._window = None
-        elif self.plan is not None:
-            self._window = self.plan.doppler_window
-        else:
-            params = self.params
-            win_len = params.num_pulses - params.stagger
-            self._window = window_by_name(params.window, win_len).astype(
-                params.real_dtype
-            )
 
     # -- framework hooks ---------------------------------------------------------
     def pre_iteration(self, ctx, cpi: int):
@@ -93,7 +81,7 @@ class DopplerTask(PipelineTask):
                 cube.data[self.k_lo : self.k_hi],
                 self.params,
                 k_start=self.k_lo,
-                window=self._window,
+                window=self.plan.doppler_window,
             )
         sends = []
         J = self.params.num_channels

@@ -4,13 +4,13 @@ Each of the P3 processors owns a block of easy Doppler bins.  Per CPI it
 assembles (a) the first-window Doppler data for its bins from every Doppler
 processor — the K-axis all-to-all of Figure 8 — and (b) the weight vectors
 from the easy weight ranks (same bin partitioning, so "no data collection
-or reorganization": contiguous blocks).  It then applies ``y = w^H x`` per
-bin — an (M x J)(J x K) matrix product each — and forwards its rows to
-pulse compression.
+or reorganization": contiguous blocks).  It then beamforms its block with
+:func:`repro.stap.beamform.beamform_easy` — the reference's and the real
+runtime's code — and forwards its rows to pulse compression.
 
 The first visit to an azimuth has no trained weights yet (TD(1,3) points
-backward in time); the task falls back to quiescent steering-only weights,
-exactly as the sequential reference does.
+backward in time); the task uses the plan's cold-start weights
+(:meth:`repro.stap.plan.KernelPlan.cold_easy_weights`), as every path does.
 """
 
 from __future__ import annotations
@@ -20,32 +20,23 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
+from repro.stap.beamform import beamform_easy
 from repro.stap.flops import easy_beamform_flops
-from repro.stap.lsq import quiescent_weights
 
 
 class EasyBeamformTask(PipelineTask):
     name = "easy_beamform"
     kernel = "easy_beamform"
 
-    def __init__(self, *args, steering=None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.steering = steering
         self.bins = self.layout.easy_bf_bins.ids_of(self.local_rank)
         dop_plan = self.layout.plan("dop_to_easy_bf")
         self._dop_msgs = {m.src: m for m in dop_plan.recvs_of(self.local_rank)}
         w_plan = self.layout.plan("easy_weight_to_bf")
         self._w_msgs = {m.src: m for m in w_plan.recvs_of(self.local_rank)}
-        # Cold-start fallback weights: once per run, not once per cold CPI.
-        if not self.functional:
-            self._quiescent = None
-            self._dop_buf = None
-            self._w_buf = None
-        else:
-            if self.plan is not None:
-                self._quiescent = self.plan.easy_quiescent
-            else:
-                self._quiescent = quiescent_weights(self.steering)
+        if self.functional:
+            self._cold_weights = self.plan.cold_easy_weights(self.bins)
             # Input assembly buffers, reused across CPIs: every iteration
             # writes the same (static) message extents, so stale data can
             # never leak, and unwritten pad cells keep their initial zeros.
@@ -77,17 +68,17 @@ class EasyBeamformTask(PipelineTask):
             descriptor = self._dop_msgs[src]
             dop[:, :, descriptor.k_start : descriptor.k_stop] = payload
 
-        weights = self._w_buf
         if cpi < self.weight_delay:
-            weights[:] = self._quiescent[None, :, :]
+            weights = self._cold_weights
         else:
+            weights = self._w_buf
             for src, payload in received.get("easy_weight_to_bf", {}).items():
                 descriptor = self._w_msgs[src]
                 weights[descriptor.dst_pos] = payload
 
-        # ``beamformed`` is freshly allocated by einsum each CPI, so the
-        # send payloads may alias it: in-flight slices are never clobbered.
-        beamformed = np.einsum("njm,njk->nmk", np.conj(weights), dop, optimize=True)
+        # ``beamformed`` is freshly allocated each CPI, so the send payloads
+        # may alias it: in-flight slices are never clobbered.
+        beamformed = beamform_easy(dop, weights, self.params)
         messages = [
             (m, beamformed[m.src_pos]) for m in plan.sends_of(self.local_rank)
         ]

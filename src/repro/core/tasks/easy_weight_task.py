@@ -1,22 +1,23 @@
 """Task 1: easy weight computation.
 
-Each of the P1 processors owns a block of easy Doppler bins (Figure 7),
-assembles the training rows collected by every Doppler processor, maintains
-the three-CPI sliding training history per azimuth, and solves the
-beam-constrained least-squares problem for its bins.  The resulting weight
-vectors are sent to the easy beamforming ranks *for the next visit to this
-azimuth* — the temporal dependency TD(1,3) of Figure 4.
+Each of the P1 processors owns a block of easy Doppler bins (Figure 7) and
+assembles the training rows collected by every Doppler processor.  An
+:class:`~repro.stap.easy_weights.EasyWeightComputer` over its bins — the
+reference's and the real runtime's code — keeps the three-CPI sliding
+training history per azimuth and solves the beam-constrained
+least-squares problem.  The resulting weight vectors are sent to the easy
+beamforming ranks *for the next visit to this azimuth* — the temporal
+dependency TD(1,3) of Figure 4.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict
 
 import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
-from repro.stap.easy_weights import HISTORY_LENGTH, compute_easy_weights
+from repro.stap.easy_weights import EasyWeightComputer
 from repro.stap.flops import easy_weight_flops
 
 
@@ -26,13 +27,12 @@ class EasyWeightTask(PipelineTask):
     # Weights feed CPI i + weight_delay (TD(1,3)): off the latency path.
     latency_path = False
 
-    def __init__(self, *args, steering=None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.steering = steering
         partition = self.layout.easy_weight_bins
         self.bins = partition.ids_of(self.local_rank)
-        # azimuth -> deque of (B, c, J) training blocks.
-        self._history: Dict[int, deque] = {}
+        if self.functional:
+            self.computer = EasyWeightComputer(self.plan, self.bins)
         # Per-source message descriptors for assembly.
         plan = self.layout.plan("dop_to_easy_weight")
         self._recv_msgs = {m.src: m for m in plan.recvs_of(self.local_rank)}
@@ -59,8 +59,8 @@ class EasyWeightTask(PipelineTask):
 
         params = self.params
         azimuth = cpi % self.weight_delay
-        # NOT a reusable buffer: each CPI's training block is retained in
-        # the sliding history deque, so it must be a fresh allocation.
+        # NOT a reusable buffer: the computer keeps each CPI's training
+        # block in its sliding history, so it must be a fresh allocation.
         training = np.zeros(
             (len(self.bins), params.easy_train_per_cpi, params.num_channels),
             dtype=complex,
@@ -69,17 +69,13 @@ class EasyWeightTask(PipelineTask):
             descriptor = self._recv_msgs[src]
             (segment,) = descriptor.segments
             training[:, segment.row_positions, :] = parts[segment.segment]
-        history = self._history.setdefault(azimuth, deque(maxlen=HISTORY_LENGTH))
-        history.append(training)
+        self.computer.push_training(training, azimuth)
 
         if not wants_send:
             return []
-        stacked = np.concatenate(list(history), axis=1)
         # ``weights`` is a fresh stack each CPI, so in-flight send payloads
         # may safely alias it.
-        weights = compute_easy_weights(
-            stacked, self.steering, params.beam_constraint_weight
-        )
+        weights = self.computer.compute_weights(azimuth)
         messages = [
             (m, weights[m.src_pos]) for m in plan.sends_of(self.local_rank)
         ]

@@ -3,7 +3,11 @@
 Like easy beamforming but over both staggered Doppler windows (2J channels)
 and with *per-range-segment* weights: range segment ``s`` of the output row
 uses segment ``s``'s weight vector — six (M x 2J)(2J x K_s) products per
-hard bin.
+hard bin.  The task assembles its block of hard bins and their
+per-(segment, bin) weights, then calls
+:func:`repro.stap.beamform.beamform_hard` — the reference's and the real
+runtime's code.  The first visit to an azimuth uses the plan's cold-start
+weights (:meth:`repro.stap.plan.KernelPlan.cold_hard_weights`).
 """
 
 from __future__ import annotations
@@ -13,46 +17,35 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
-from repro.stap.doppler import stagger_phase
+from repro.stap.beamform import beamform_hard
 from repro.stap.flops import hard_beamform_flops
-from repro.stap.lsq import quiescent_weights_stacked
+from repro.stap.hard_weights import segment_grid
 
 
 class HardBeamformTask(PipelineTask):
     name = "hard_beamform"
     kernel = "hard_beamform"
 
-    def __init__(self, *args, steering=None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.steering = steering
         self.bins = self.layout.hard_bf_bins.ids_of(self.local_rank)
-        self.phases = stagger_phase(self.params, self.bins)
         dop_plan = self.layout.plan("dop_to_hard_bf")
         self._dop_msgs = {m.src: m for m in dop_plan.recvs_of(self.local_rank)}
         w_plan = self.layout.plan("hard_weight_to_bf")
         self._w_msgs = {m.src: m for m in w_plan.recvs_of(self.local_rank)}
-        # Cold-start fallback weights for this rank's bins: once per run.
-        if not self.functional:
-            self._quiescent = None
-            self._dop_buf = None
-            self._w_buf = None
-        else:
-            if self.plan is not None:
-                self._quiescent = self.plan.hard_quiescent[self.bins]
-            else:
-                self._quiescent = quiescent_weights_stacked(self.steering, self.phases)
+        if self.functional:
+            params = self.params
+            self._cold_weights = self.plan.cold_hard_weights(
+                segment_grid(params, self.bins)
+            )
             # Input assembly buffers, reused across CPIs: every iteration
             # writes the same (static) message extents, so stale data can
             # never leak, and unwritten pad cells keep their initial zeros.
-            params = self.params
-            n2 = params.num_staggered_channels
             self._dop_buf = np.zeros(
-                (len(self.bins), n2, params.num_ranges), dtype=complex
-            )
-            self._w_buf = np.empty(
-                (params.num_segments, len(self.bins), n2, params.num_beams),
+                (len(self.bins), params.num_staggered_channels, params.num_ranges),
                 dtype=complex,
             )
+            self._w_buf = np.empty_like(self._cold_weights)
 
     # -- framework hooks ----------------------------------------------------------
     def recv_edges(self, cpi: int) -> list[str]:
@@ -72,32 +65,23 @@ class HardBeamformTask(PipelineTask):
             messages = [(m, MODELED) for m in plan.sends_of(self.local_rank)]
             return [("hard_bf_to_pc", messages)] if messages else []
 
-        params = self.params
-        K, M = params.num_ranges, params.num_beams
         dop = self._dop_buf
         for src, payload in received.get("dop_to_hard_bf", {}).items():
             descriptor = self._dop_msgs[src]
             dop[:, :, descriptor.k_start : descriptor.k_stop] = payload
 
-        weights = self._w_buf
         if cpi < self.weight_delay:
-            weights[:] = self._quiescent[None, :, :, :]
+            weights = self._cold_weights
         else:
+            weights = self._w_buf
             for src, payload in received.get("hard_weight_to_bf", {}).items():
                 descriptor = self._w_msgs[src]
                 # payload: (units, 2J, M) per-(segment, bin) weight vectors.
                 weights[descriptor.segments, descriptor.dst_bin_pos] = payload
 
-        # ``beamformed`` must stay freshly allocated each CPI: the send
-        # payloads below alias it while in flight under double buffering.
-        beamformed = np.empty((len(self.bins), M, K), dtype=complex)
-        for seg_idx, seg in enumerate(params.segment_slices):
-            beamformed[:, :, seg] = np.einsum(
-                "njm,njk->nmk",
-                np.conj(weights[seg_idx]),
-                dop[:, :, seg],
-                optimize=True,
-            )
+        # ``beamformed`` is freshly allocated each CPI: the send payloads
+        # below alias it while in flight under double buffering.
+        beamformed = beamform_hard(dop, weights, self.params)
         messages = [
             (m, beamformed[m.src_pos]) for m in plan.sends_of(self.local_rank)
         ]

@@ -3,13 +3,15 @@
 Each of the P2 processors owns a block of (range segment, hard Doppler bin)
 *units* — one recursive QR per unit, ``6 * N_hard`` units in all.  This
 finer-than-bins decomposition is what lets the paper assign 112 nodes to a
-task with only 56 hard bins (Table 7, case 1).  Per CPI a rank absorbs the
-freshly collected training rows of its units with exponential forgetting,
-re-solves the constrained least-squares problem, and ships the weight
-vectors to the hard beamforming ranks for the next visit to this azimuth —
-TD(2,4) of Figure 4.  This is the most computationally demanding task of
-the pipeline (Table 1), which is why the paper's assignments give it
-roughly half of all nodes.
+task with only 56 hard bins (Table 7, case 1).  Per CPI a rank assembles
+the freshly collected training rows of its units; a
+:class:`~repro.stap.hard_weights.HardWeightComputer` over those units —
+the reference's and the real runtime's code — absorbs them with
+exponential forgetting and re-solves the constrained least-squares
+problem.  The weight vectors go to the hard beamforming ranks for the next
+visit to this azimuth — TD(2,4) of Figure 4.  This is the most
+computationally demanding task of the pipeline (Table 1), which is why the
+paper's assignments give it roughly half of all nodes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
-from repro.stap.doppler import stagger_phase
 from repro.stap.flops import hard_weight_flops
-from repro.stap.hard_weights import compute_hard_weights_units, update_r_units
+from repro.stap.hard_weights import HardWeightComputer
 
 
 class HardWeightTask(PipelineTask):
@@ -30,21 +31,18 @@ class HardWeightTask(PipelineTask):
     # Weights feed CPI i + weight_delay (TD(2,4)): off the latency path.
     latency_path = False
 
-    def __init__(self, *args, steering=None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.steering = steering
         partition = self.layout.hard_weight_units
         self.units = partition.units_of(self.local_rank)
-        self.unit_bin_pos, self.unit_segments = partition.decompose(self.units)
+        _bin_pos, unit_segments = partition.decompose(self.units)
         self.unit_bins = partition.bins_of_units(self.units)
-        self.phases = stagger_phase(self.params, self.unit_bins)
-        # azimuth -> (U, 2J, 2J) R factors.
-        self._r_state: Dict[int, np.ndarray] = {}
-        # Training assembly buffer, reused across CPIs (the QR update
-        # absorbs it before compute returns): the incoming segments write
-        # the same row positions every iteration, so no stale sample
-        # survives, and unwritten pad rows keep their initial zeros.
         if self.functional:
+            self.computer = HardWeightComputer(self.plan, self.unit_bins)
+            # Training assembly buffer, reused across CPIs (the computer
+            # absorbs it before compute returns): the incoming segments
+            # write the same row positions every iteration, so no stale
+            # sample survives, and unwritten pad rows keep their zeros.
             self._training_buf = np.zeros(
                 (
                     len(self.units),
@@ -53,14 +51,12 @@ class HardWeightTask(PipelineTask):
                 ),
                 dtype=complex,
             )
-        else:
-            self._training_buf = None
         plan = self.layout.plan("dop_to_hard_weight")
         self._recv_msgs = {m.src: m for m in plan.recvs_of(self.local_rank)}
         # Map (segment, absolute bin) -> local unit index, for assembly.
         self._unit_index = {
             (int(seg), int(bin_id)): idx
-            for idx, (seg, bin_id) in enumerate(zip(self.unit_segments, self.unit_bins))
+            for idx, (seg, bin_id) in enumerate(zip(unit_segments, self.unit_bins))
         }
 
     # -- framework hooks ----------------------------------------------------------
@@ -72,14 +68,6 @@ class HardWeightTask(PipelineTask):
         return cpi + self.weight_delay
 
     # -- work --------------------------------------------------------------------------
-    def _state_for(self, azimuth: int) -> np.ndarray:
-        state = self._r_state.get(azimuth)
-        if state is None:
-            n2 = self.params.num_staggered_channels
-            state = np.zeros((len(self.units), n2, n2), dtype=complex)
-            self._r_state[azimuth] = state
-        return state
-
     def compute(self, cpi: int, received: Dict[str, Dict[int, Any]]):
         plan = self.layout.plan("hard_weight_to_bf")
         target_cpi = cpi + self.weight_delay
@@ -90,7 +78,6 @@ class HardWeightTask(PipelineTask):
             messages = [(m, MODELED) for m in plan.sends_of(self.local_rank)]
             return [("hard_weight_to_bf", messages)] if messages else []
 
-        params = self.params
         azimuth = cpi % self.weight_delay
         training = self._training_buf
         for src, parts in received.get("dop_to_hard_weight", {}).items():
@@ -100,22 +87,13 @@ class HardWeightTask(PipelineTask):
                 for bin_idx, bin_id in enumerate(segment.bin_ids):
                     unit = self._unit_index[(segment.segment, int(bin_id))]
                     training[unit][segment.row_positions, :] = block[bin_idx]
-        state = self._state_for(azimuth)
-        update_r_units(state, training, params.forgetting_factor)
+        self.computer.update(training, azimuth)
 
         if not wants_send:
             return []
-        # One stacked constrained solve over this rank's units (same maths
-        # as repro.stap.hard_weights.compute_hard_weights, flat unit axis).
-        weights = compute_hard_weights_units(
-            state,
-            self.steering,
-            self.phases,
-            params.beam_constraint_weight,
-            params.freq_constraint_weight,
-        )
         # ``weights`` is a fresh stack each CPI, so in-flight send payloads
         # may safely alias it.
+        weights = self.computer.compute_weights(azimuth)
         messages = [
             (m, weights[m.src_pos]) for m in plan.sends_of(self.local_rank)
         ]

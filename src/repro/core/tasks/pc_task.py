@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
 from repro.stap.flops import pulse_compression_flops
-from repro.stap.pulse_compression import pulse_compress_block, replica_response
+from repro.stap.pulse_compression import pulse_compress_block
 
 
 class PulseCompressionTask(PipelineTask):
@@ -27,16 +27,7 @@ class PulseCompressionTask(PipelineTask):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.bins = self.layout.pc_bins.ids_of(self.local_rank)
-        # Replica spectrum from the shared plan (built exactly once per
-        # run); recomputed locally only when constructed without one.
-        if not self.functional:
-            self._replica = None
-            self._beams_buf = None
-        else:
-            if self.plan is not None:
-                self._replica = self.plan.replica_freq
-            else:
-                self._replica = replica_response(self.params)
+        if self.functional:
             # Input assembly buffer, reused across CPIs: the incoming
             # easy/hard messages tile the bin axis identically every
             # iteration, so no stale row survives a CPI.
@@ -73,7 +64,7 @@ class PulseCompressionTask(PipelineTask):
 
         # ``power`` is a fresh cube each CPI (pulse_compress_block allocates
         # its output), so in-flight send payloads may safely alias it.
-        power = pulse_compress_block(beams, self.params, self._replica)
+        power = pulse_compress_block(beams, self.params, self.plan.replica_freq)
         messages = [
             (m, power[m.src_pos]) for m in plan.sends_of(self.local_rank)
         ]

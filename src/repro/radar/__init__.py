@@ -25,7 +25,6 @@ from repro.radar.geometry import (
 from repro.radar.windows import window_by_name, WINDOWS
 from repro.radar.waveform import lfm_chirp, matched_filter_frequency_response
 from repro.radar.datacube import CPIDataCube, CPIStream, generate_cpi
-from repro.radar.io import FileCPIStream, load_cubes, save_cubes
 
 __all__ = [
     "STAPParams",
@@ -43,7 +42,4 @@ __all__ = [
     "CPIDataCube",
     "CPIStream",
     "generate_cpi",
-    "FileCPIStream",
-    "load_cubes",
-    "save_cubes",
 ]

@@ -1,21 +1,22 @@
 """Stage worker bodies for the process-parallel runtime.
 
 Each function is the main loop of one worker process executing one
-replica of one paper task.  The kernels called here are *exactly* the
-sequential reference's calls (:class:`~repro.stap.reference.SequentialSTAP`
-.process), on arrays with identical memory layout — the channels carry
-the same contiguous blocks the serial code materializes
-(``staggered[easy_bins]``, training extracts, weight tensors), and
-consumers take the same views of them (``[:, :J, :]``) — so the parallel
-detections are bit-identical to the serial chain by construction.
+replica of one paper task, on whole CPIs.  The compute is the same code
+the sequential reference (:class:`~repro.stap.reference.SequentialSTAP`)
+and the simulator's tasks call — the :mod:`repro.stap` kernels, the
+weight computers and the plan's cold-start weights — on arrays with the
+reference's memory layout: the channels carry the blocks the reference
+materializes (``staggered[easy_bins]``, training extracts, weight
+tensors), and consumers take the same views of them (``[:, :J, :]``).
+What this module adds is transport: shared-memory channels, routing and
+the per-stage metrics.
 
 Temporal weight semantics (Section 5): the weights applied to CPI ``i``
 were trained on the previous visit to the same azimuth, ``i - A`` for
 cycle ``A``.  The weight workers therefore *tag* each weight message
 with the future CPI it is for (``s + A`` after training on ``s``), and
-the beamform workers fall back to the quiescent weights for the first
-visit to each azimuth (``i < A``) — exactly the serial reference's
-cold-start path.
+the beamform workers use the plan's cold-start weights for the first
+visit to each azimuth (``i < A``), as every path does.
 
 Every worker knows its full CPI quota up front
 (:meth:`~repro.rt.plan.StagePlan.stage_cpis`) and processes it strictly
@@ -35,7 +36,11 @@ from repro.stap.beamform import assemble_beamformed, beamform_easy, beamform_har
 from repro.stap.cfar import cfar_detect
 from repro.stap.doppler import doppler_filter
 from repro.stap.easy_weights import EasyWeightComputer, extract_easy_training
-from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
+from repro.stap.hard_weights import (
+    HardWeightComputer,
+    extract_hard_training,
+    segment_grid,
+)
 from repro.stap.pulse_compression import pulse_compress
 
 
@@ -134,16 +139,16 @@ def run_doppler(ctx: RtContext, replica: int, metrics: StageMetrics) -> None:
 # -- stage 1: easy weights (stateful per azimuth) ----------------------------------
 def run_easy_weight(ctx: RtContext, replica: int,
                     metrics: StageMetrics) -> None:
-    params, plan = ctx.params, ctx.plan
+    plan = ctx.plan
     A = ctx.azimuth_cycle
     r_d = plan.of("doppler")
     r_ebf = plan.of("easy_beamform")
-    computer = EasyWeightComputer(params, ctx.kernel_plan.steering)
+    computer = EasyWeightComputer(ctx.kernel_plan)
     for s in ctx.my_cpis("easy_weight", replica):
         azimuth = s % A
         slot, view = ctx.recv("easy_train", s % r_d, replica, s, metrics)
-        # The computer's history deque retains the array across visits, so
-        # take ownership with a copy before handing the slot back.
+        # The computer's history keeps the array across visits, so take
+        # ownership with a copy before handing the slot back.
         training = np.array(view)
         ctx.channel("easy_train", s % r_d, replica).release(slot)
         started = _comp_clock(metrics)
@@ -162,11 +167,11 @@ def run_easy_weight(ctx: RtContext, replica: int,
 # -- stage 2: hard weights (recursive QR per azimuth) ------------------------------
 def run_hard_weight(ctx: RtContext, replica: int,
                     metrics: StageMetrics) -> None:
-    params, plan = ctx.params, ctx.plan
+    plan = ctx.plan
     A = ctx.azimuth_cycle
     r_d = plan.of("doppler")
     r_hbf = plan.of("hard_beamform")
-    computer = HardWeightComputer(params, ctx.kernel_plan.steering)
+    computer = HardWeightComputer(ctx.kernel_plan)
     for s in ctx.my_cpis("hard_weight", replica):
         azimuth = s % A
         slot, view = ctx.recv("hard_train", s % r_d, replica, s, metrics)
@@ -190,22 +195,18 @@ def run_hard_weight(ctx: RtContext, replica: int,
 def run_easy_beamform(ctx: RtContext, replica: int,
                       metrics: StageMetrics) -> None:
     params, plan = ctx.params, ctx.plan
-    kp = ctx.kernel_plan
     A = ctx.azimuth_cycle
     J = params.num_channels
     r_d = plan.of("doppler")
     r_ew = plan.of("easy_weight")
     r_pc = plan.of("pulse_compression")
+    cold_weights = ctx.kernel_plan.cold_easy_weights(params.easy_bins)
     for i in ctx.my_cpis("easy_beamform", replica):
         azimuth = i % A
         dslot, data = ctx.recv("easy_data", i % r_d, replica, i, metrics)
         wslot = None
-        if i < A:
-            # First visit to this azimuth: the quiescent cold start, built
-            # exactly as the reference's EasyWeightComputer fallback.
-            weights = np.empty(
-                (params.num_easy_doppler, J, params.num_beams), dtype=complex)
-            weights[:] = kp.easy_quiescent[None, :, :]
+        if i < A:  # first visit to this azimuth
+            weights = cold_weights
             src = None
         else:
             src = azimuth % r_ew
@@ -224,23 +225,18 @@ def run_easy_beamform(ctx: RtContext, replica: int,
 def run_hard_beamform(ctx: RtContext, replica: int,
                       metrics: StageMetrics) -> None:
     params, plan = ctx.params, ctx.plan
-    kp = ctx.kernel_plan
     A = ctx.azimuth_cycle
     r_d = plan.of("doppler")
     r_hw = plan.of("hard_weight")
     r_pc = plan.of("pulse_compression")
-    n2 = params.num_staggered_channels
+    cold_weights = ctx.kernel_plan.cold_hard_weights(
+        segment_grid(params, params.hard_bins))
     for i in ctx.my_cpis("hard_beamform", replica):
         azimuth = i % A
         dslot, data = ctx.recv("hard_data", i % r_d, replica, i, metrics)
         wslot = None
-        if i < A:
-            weights = np.empty(
-                (params.num_segments, params.num_hard_doppler, n2,
-                 params.num_beams),
-                dtype=complex,
-            )
-            weights[:] = kp.hard_quiescent[params.hard_bins][None]
+        if i < A:  # first visit to this azimuth
+            weights = cold_weights
             src = None
         else:
             src = azimuth % r_hw

@@ -5,6 +5,10 @@ Applies the adaptive weights to the Doppler-filtered data:
 C x K matrix product (C = J for easy bins, 2J for hard bins, the latter per
 range segment).  These are exactly the matrix-matrix multiplications whose
 counts appear in the paper's Table 1.
+
+Both functions take any block of bins; they are the one beamforming code
+of the sequential reference (every bin), the simulator's beamforming
+tasks (a rank's block) and the real runtime's beamform workers.
 """
 
 from __future__ import annotations
@@ -21,41 +25,40 @@ from repro.radar.parameters import STAPParams
 def beamform_easy(
     dop_easy: np.ndarray, weights: np.ndarray, params: STAPParams
 ) -> np.ndarray:
-    """Easy-bin beamforming.
+    """Easy-bin beamforming of any block of B easy bins.
 
     Parameters
     ----------
     dop_easy:
-        (N_easy, J, K) — the easy bins of the staggered cube, first Doppler
-        window only.
+        (B, J, K) — easy bins of the staggered cube, first Doppler window
+        only (all N_easy of them in the reference, a rank's block in the
+        parallel task).
     weights:
-        (N_easy, J, M) easy weights.
+        (B, J, M) easy weights of the same bins.
 
     Returns
     -------
-    (N_easy, M, K) beamformed data.
+    (B, M, K) freshly allocated beamformed data.  Each bin is computed on
+    its own, so a block's result equals the full-extent result's rows.
     """
-    n_easy, J, K = (
-        params.num_easy_doppler,
-        params.num_channels,
-        params.num_ranges,
-    )
-    if dop_easy.shape != (n_easy, J, K):
+    J, K, M = params.num_channels, params.num_ranges, params.num_beams
+    if dop_easy.ndim != 3 or dop_easy.shape[1:] != (J, K):
         raise ConfigurationError(
-            f"easy Doppler data shape {dop_easy.shape} != ({n_easy},{J},{K})"
+            f"easy Doppler data shape {dop_easy.shape} != (bins, {J}, {K})"
         )
-    if weights.shape != (n_easy, J, params.num_beams):
-        raise ConfigurationError(
-            f"easy weights shape {weights.shape} != "
-            f"({n_easy},{J},{params.num_beams})"
-        )
+    expected_w = (dop_easy.shape[0], J, M)
+    if weights.shape != expected_w:
+        raise ConfigurationError(f"easy weights shape {weights.shape} != {expected_w}")
     start = perf_counter() if kernel_counters.enabled else None
     out = np.einsum("njm,njk->nmk", np.conj(weights), dop_easy, optimize=True)
     if start is not None:
         from repro.stap.flops import easy_beamform_flops
 
+        share = dop_easy.shape[0] / params.num_easy_doppler
         kernel_counters.record(
-            "easy_beamform", perf_counter() - start, easy_beamform_flops(params)
+            "easy_beamform",
+            perf_counter() - start,
+            easy_beamform_flops(params) * share,
         )
     return out
 
@@ -63,32 +66,32 @@ def beamform_easy(
 def beamform_hard(
     dop_hard: np.ndarray, weights: np.ndarray, params: STAPParams
 ) -> np.ndarray:
-    """Hard-bin beamforming with per-segment weights.
+    """Hard-bin beamforming of any block of B hard bins, per-segment weights.
 
     Parameters
     ----------
     dop_hard:
-        (N_hard, 2J, K) — the hard bins of the staggered cube, both windows.
+        (B, 2J, K) — hard bins of the staggered cube, both windows.
     weights:
-        (num_segments, N_hard, 2J, M) hard weights.
+        (num_segments, B, 2J, M) hard weights of the same bins.
 
     Returns
     -------
-    (N_hard, M, K) beamformed data; range segment ``s`` of the output uses
-    segment ``s``'s weights.
+    (B, M, K) freshly allocated beamformed data; range segment ``s`` of
+    the output uses segment ``s``'s weights.  Each bin is computed on its
+    own, so a block's result equals the full-extent result's rows.
     """
-    n_hard = params.num_hard_doppler
-    n2 = params.num_staggered_channels
-    K = params.num_ranges
-    if dop_hard.shape != (n_hard, n2, K):
+    n2, K = params.num_staggered_channels, params.num_ranges
+    if dop_hard.ndim != 3 or dop_hard.shape[1:] != (n2, K):
         raise ConfigurationError(
-            f"hard Doppler data shape {dop_hard.shape} != ({n_hard},{n2},{K})"
+            f"hard Doppler data shape {dop_hard.shape} != (bins, {n2}, {K})"
         )
-    expected_w = (params.num_segments, n_hard, n2, params.num_beams)
+    num_bins = dop_hard.shape[0]
+    expected_w = (params.num_segments, num_bins, n2, params.num_beams)
     if weights.shape != expected_w:
         raise ConfigurationError(f"hard weights shape {weights.shape} != {expected_w}")
     start = perf_counter() if kernel_counters.enabled else None
-    out = np.empty((n_hard, params.num_beams, K), dtype=complex)
+    out = np.empty((num_bins, params.num_beams, K), dtype=complex)
     for seg_idx, seg in enumerate(params.segment_slices):
         out[:, :, seg] = np.einsum(
             "njm,njk->nmk",
@@ -99,8 +102,11 @@ def beamform_hard(
     if start is not None:
         from repro.stap.flops import hard_beamform_flops
 
+        share = num_bins / params.num_hard_doppler
         kernel_counters.record(
-            "hard_beamform", perf_counter() - start, hard_beamform_flops(params)
+            "hard_beamform",
+            perf_counter() - start,
+            hard_beamform_flops(params) * share,
         )
     return out
 

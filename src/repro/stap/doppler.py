@@ -189,8 +189,8 @@ def _filter_cells(data, gains, window, stagger, out, lo, hi) -> None:
     transposed into ``out``'s ``(N, 2J, k)`` layout.  The multiplies use
     the same operand dtypes as a plain ``data[..., :N-s] * window``, the
     pad columns are zero as in ``np.fft.fft(..., n=N)``, and the spectra
-    keep the FFT's own result dtype (complex64 from NumPy 2, complex128
-    before it), so the values match a separate FFT per window exactly.
+    keep the FFT's own result dtype, so the values match a separate FFT
+    per window exactly.
     """
     J, N = data.shape[1], data.shape[2]
     win_len = N - stagger

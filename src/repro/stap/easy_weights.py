@@ -26,7 +26,6 @@ from repro.radar.parameters import STAPParams
 from repro.stap.lsq import (
     qr_factor,
     qr_factor_stacked,
-    quiescent_weights,
     solve_constrained,
     solve_constrained_stacked,
 )
@@ -82,10 +81,8 @@ def compute_easy_weights(
     """Easy weights from stacked training: (B, n, J) -> (B, J, M).
 
     ``stacked`` holds, per Doppler bin, the concatenated (conjugated)
-    training rows of up to three CPIs.  This is the shared per-bin kernel:
-    the sequential reference calls it over all easy bins, the parallel easy
-    weight task over just the bins its processor owns — guaranteeing
-    identical numerics.
+    training rows of up to three CPIs.  This is the kernel behind
+    :class:`EasyWeightComputer`, whatever block of bins it serves.
 
     All bins dispatch through one stacked QR and one stacked constrained
     solve (:func:`repro.stap.lsq.qr_factor_stacked` /
@@ -154,29 +151,31 @@ def compute_easy_weights_loop(
 
 
 class EasyWeightComputer:
-    """Stateful easy-bin weight computation with per-azimuth history."""
+    """Stateful easy-bin weight computation with per-azimuth history.
 
-    def __init__(self, params: STAPParams, steering: np.ndarray):
-        """``steering``: (J, M) matrix of receive-beam steering vectors."""
-        steering = np.asarray(steering, dtype=complex)
-        if steering.shape != (params.num_channels, params.num_beams):
-            raise ConfigurationError(
-                f"steering shape {steering.shape} != "
-                f"({params.num_channels}, {params.num_beams})"
-            )
-        self.params = params
-        self.steering = steering
+    One computer serves any block of easy bins: ``bins`` holds their
+    absolute Doppler ids (default: every easy bin, as the sequential
+    reference and the real runtime use it; an easy weight rank passes its
+    own block).  Each bin's weights depend only on that bin's training, so
+    a computer over a block yields the full computer's weights for those
+    bins, bit for bit.
+    """
+
+    def __init__(self, plan, bins=None):
+        """``plan``: the run's :class:`~repro.stap.plan.KernelPlan` (steering
+        matrix and cold-start weights)."""
+        self.params = plan.params
+        self.plan = plan
+        self.bins = np.asarray(self.params.easy_bins if bins is None else bins)
         self._history: Dict[int, Deque[np.ndarray]] = {}
 
     # -- state -----------------------------------------------------------------
     def push_training(self, training: np.ndarray, azimuth: int = 0) -> None:
-        """Record one CPI's training block (output of extract_easy_training)."""
+        """Record one CPI's (B, rows, J) training block for this computer's
+        bins (the rows of :func:`extract_easy_training`).  The block is kept,
+        not copied, for the next :data:`HISTORY_LENGTH` visits."""
         params = self.params
-        expected = (
-            params.num_easy_doppler,
-            params.easy_train_per_cpi,
-            params.num_channels,
-        )
+        expected = (len(self.bins), params.easy_train_per_cpi, params.num_channels)
         training = np.asarray(training)
         if training.shape != expected:
             raise ConfigurationError(
@@ -191,23 +190,16 @@ class EasyWeightComputer:
 
     # -- weights -------------------------------------------------------------
     def compute_weights(self, azimuth: int = 0) -> np.ndarray:
-        """Weights for the *next* CPI in this azimuth: (N_easy, J, M).
+        """Weights for the *next* CPI in this azimuth: (B, J, M).
 
-        Before any training exists, returns quiescent (steering-only)
-        weights so the chain degrades to conventional beamforming.
+        Before any training exists, returns the plan's quiescent
+        (steering-only) weights so the chain degrades to conventional
+        beamforming.
         """
-        params = self.params
         history = self._history.get(azimuth)
-        n_easy, J, M = (
-            params.num_easy_doppler,
-            params.num_channels,
-            params.num_beams,
-        )
         if not history:
-            weights = np.empty((n_easy, J, M), dtype=complex)
-            weights[:] = quiescent_weights(self.steering)[None, :, :]
-            return weights
-        stacked = np.concatenate(list(history), axis=1)  # (N_easy, <=3c, J)
+            return self.plan.cold_easy_weights(self.bins)
+        stacked = np.concatenate(list(history), axis=1)  # (B, <=3c, J)
         return compute_easy_weights(
-            stacked, self.steering, params.beam_constraint_weight
+            stacked, self.plan.steering, self.params.beam_constraint_weight
         )

@@ -23,12 +23,10 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.perf.kernels import kernel_counters
 from repro.radar.parameters import STAPParams
-from repro.stap.doppler import stagger_phase
 from repro.stap.easy_weights import select_range_samples
 from repro.stap.lsq import (
     qr_append_rows,
     qr_append_rows_stacked,
-    quiescent_weights_stacked,
     solve_constrained,
     solve_constrained_stacked,
 )
@@ -85,9 +83,8 @@ def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> No
 
     ``state``: (U, 2J, 2J) R factors, one per (segment, bin) unit;
     ``training``: (U, rows, 2J) conjugated training rows.  One stacked
-    block-QR update replaces U per-unit recursions — the kernel shared by
-    the grid wrapper :func:`update_r_block` and the parallel hard weight
-    task, whose rank owns an arbitrary flat subset of units.  Large unit
+    block-QR update replaces U per-unit recursions — the kernel behind
+    :class:`HardWeightComputer`.  Large unit
     axes split across the kernel threads (:mod:`repro.stap.threads`); each
     unit's factorization is independent of its batch, so the result is
     the same for any split.
@@ -147,6 +144,12 @@ def compute_hard_weights_units(
 ) -> np.ndarray:
     """Hard weights for a flat axis of units: (U, 2J, 2J) -> (U, 2J, M).
 
+    ``phases``: (U,) stagger phase of each unit's bin.  The constraint
+    block couples the two Doppler windows: for bin ``n`` with stagger
+    phase ``p_n``, the J rows ``[bw*I | fw*conj(p_n)*I]`` with right-hand
+    side ``w_s`` pull the solution toward the coherent staggered combiner
+    ``[w_s; p_n w_s] / 2`` while the data R factor supplies clutter nulls.
+
     One stacked constrained solve over all units, split across the kernel
     threads like :func:`update_r_units`; bit identical to the per-unit
     loop (see :func:`compute_hard_weights_loop`) for any split.
@@ -171,58 +174,17 @@ def compute_hard_weights_units(
     return weights
 
 
-def update_r_block(state: np.ndarray, training: np.ndarray, forget: float) -> None:
-    """Absorb training rows into a block of R factors, in place.
-
-    ``state``: (S, B, 2J, 2J) per-(segment, bin) R factors;
-    ``training``: (S, B, rows, 2J) conjugated training rows.  The shared
-    recursion kernel of the sequential reference and the parallel hard
-    weight task; the (S, B) grid is flattened into one stacked axis so the
-    whole block updates in a single batched factorization.
-    """
-    num_segments, num_bins, n2, _ = state.shape
-    flat = state.reshape(num_segments * num_bins, n2, n2)
-    update_r_units(flat, training.reshape(num_segments * num_bins, -1, n2), forget)
-
-
 def update_r_block_loop(
     state: np.ndarray, training: np.ndarray, forget: float
 ) -> None:
-    """Per-unit loop reference for :func:`update_r_block` (ground truth)."""
+    """Per-unit loop reference for :func:`update_r_units` over an (S, B)
+    grid of units (ground truth)."""
     num_segments, num_bins = state.shape[:2]
     for seg in range(num_segments):
         for bin_idx in range(num_bins):
             state[seg, bin_idx] = qr_append_rows(
                 state[seg, bin_idx], training[seg, bin_idx], forget=forget
             )
-
-
-def compute_hard_weights(
-    state: np.ndarray,
-    steering: np.ndarray,
-    phases: np.ndarray,
-    beam_weight: float,
-    freq_weight: float,
-) -> np.ndarray:
-    """Hard weights from R factors: (S, B, 2J, 2J) -> (S, B, 2J, M).
-
-    ``phases``: per-bin stagger phase (length B).  The constraint block
-    couples the two Doppler windows: for bin ``n`` with stagger phase
-    ``p_n``, the J rows ``[bw*I | fw*conj(p_n)*I]`` with right-hand side
-    ``w_s`` pull the solution toward the coherent staggered combiner
-    ``[w_s; p_n w_s] / 2`` while the data R factor supplies clutter nulls.
-
-    The (S, B) grid is flattened and solved in one stacked call — the
-    phase vector is tiled across segments, mirroring the loop's reuse of
-    ``phases[bin_idx]`` in every segment.
-    """
-    num_segments, num_bins, n2, _ = state.shape
-    flat = state.reshape(num_segments * num_bins, n2, n2)
-    flat_phases = np.tile(np.asarray(phases), num_segments)
-    weights = compute_hard_weights_units(
-        flat, steering, flat_phases, beam_weight, freq_weight
-    )
-    return weights.reshape(num_segments, num_bins, n2, steering.shape[1])
 
 
 def compute_hard_weights_loop(
@@ -232,7 +194,9 @@ def compute_hard_weights_loop(
     beam_weight: float,
     freq_weight: float,
 ) -> np.ndarray:
-    """Per-unit loop reference for :func:`compute_hard_weights`.
+    """Per-unit loop reference for :func:`compute_hard_weights_units` over
+    an (S, B) grid of units, ``phases`` per bin: (S, B, 2J, 2J) ->
+    (S, B, 2J, M).
 
     Retained as ground truth for the batched kernel's tests and for
     measuring the batching win; one constraint build + constrained solve
@@ -259,82 +223,96 @@ def compute_hard_weights_loop(
     return weights
 
 
-class HardWeightComputer:
-    """Stateful hard-bin weight computation: recursive QR per segment/bin."""
+def segment_grid(params: STAPParams, bins) -> np.ndarray:
+    """(S, B) absolute bin of every (segment, bin) unit of ``bins``: the
+    unit layout of :func:`extract_hard_training` and of the weights
+    :func:`repro.stap.beamform.beamform_hard` takes."""
+    return np.tile(np.asarray(bins), (params.num_segments, 1))
 
-    def __init__(self, params: STAPParams, steering: np.ndarray):
-        """``steering``: (J, M) receive-beam steering matrix."""
-        steering = np.asarray(steering, dtype=complex)
-        if steering.shape != (params.num_channels, params.num_beams):
-            raise ConfigurationError(
-                f"steering shape {steering.shape} != "
-                f"({params.num_channels}, {params.num_beams})"
-            )
+
+class HardWeightComputer:
+    """Stateful hard-bin weight computation: recursive QR per (segment, bin)
+    unit.
+
+    One computer serves any set of units: ``unit_bins`` holds each unit's
+    absolute hard Doppler bin, in any shape.  The default is the full
+    (S, N_hard) grid of :func:`extract_hard_training`, as the sequential
+    reference and the real runtime use it; a hard weight rank passes its
+    flat unit axis.  Training comes in, and weights go out, in that shape
+    (plus the trailing row/channel axes).  Units are independent, so a
+    computer over a subset yields the full computer's weights for those
+    units, bit for bit.
+    """
+
+    def __init__(self, plan, unit_bins=None):
+        """``plan``: the run's :class:`~repro.stap.plan.KernelPlan` (steering
+        matrix, stagger phases and cold-start weights)."""
+        params = plan.params
+        if unit_bins is None:
+            unit_bins = segment_grid(params, params.hard_bins)
         self.params = params
-        self.steering = steering
-        # azimuth -> (num_segments, N_hard, 2J, 2J) R factors.
-        self._r_state: Dict[int, np.ndarray] = {}
-        #: Per-bin expected phase of the late Doppler window w.r.t. the
+        self.plan = plan
+        self.unit_bins = np.asarray(unit_bins)
+        #: Per-unit expected phase of the late Doppler window w.r.t. the
         #: early one; the frequency-constraint factor of Appendix B.
-        self._phases = stagger_phase(params, params.hard_bins)
+        self._phases = plan.stagger_phases[self.unit_bins.ravel()]
+        # azimuth -> (U, 2J, 2J) R factors, flat over the units.
+        self._r_state: Dict[int, np.ndarray] = {}
 
     # -- state ---------------------------------------------------------------
     def _state_for(self, azimuth: int) -> np.ndarray:
         state = self._r_state.get(azimuth)
         if state is None:
             n2 = self.params.num_staggered_channels
-            state = np.zeros(
-                (self.params.num_segments, self.params.num_hard_doppler, n2, n2),
-                dtype=complex,
-            )
+            state = np.zeros((self.unit_bins.size, n2, n2), dtype=complex)
             self._r_state[azimuth] = state
         return state
 
     def has_history(self, azimuth: int = 0) -> bool:
         """True once at least one update has been absorbed for ``azimuth``."""
         state = self._r_state.get(azimuth)
-        return state is not None and bool(np.any(state != 0))
+        return state is not None and bool(np.any(state))
 
     def update(self, training: np.ndarray, azimuth: int = 0) -> None:
-        """Absorb one CPI's training (output of extract_hard_training)."""
+        """Absorb one CPI's training rows, ``unit_bins.shape + (rows, 2J)``
+        (for the default grid: the output of :func:`extract_hard_training`).
+        The rows are absorbed before this returns; nothing keeps them."""
         params = self.params
-        expected = (
-            params.num_segments,
-            params.num_hard_doppler,
-            params.hard_train_samples,
-            params.num_staggered_channels,
-        )
+        rows, n2 = params.hard_train_samples, params.num_staggered_channels
+        expected = self.unit_bins.shape + (rows, n2)
         training = np.asarray(training)
         if training.shape != expected:
             raise ConfigurationError(
                 f"hard training shape {training.shape} != {expected}"
             )
-        state = self._state_for(azimuth)
-        update_r_block(state, training, params.forgetting_factor)
+        update_r_units(
+            self._state_for(azimuth),
+            training.reshape(-1, rows, n2),
+            params.forgetting_factor,
+        )
 
     # -- weights -------------------------------------------------------------
     def compute_weights(self, azimuth: int = 0) -> np.ndarray:
-        """Weights for the next CPI: (num_segments, N_hard, 2J, M).
+        """Weights for the next CPI: ``unit_bins.shape + (2J, M)``.
 
-        Before any training exists, returns the per-bin coherent staggered
-        quiescent weights ``[w_s; p_n w_s] / sqrt(2)``.
+        A unit whose R factor has absorbed nothing but zeros gets the
+        plan's coherent staggered quiescent weights ``[w_s; p_n w_s] /
+        sqrt(2)``; the others solve the constrained least squares.
         """
         params = self.params
-        M = params.num_beams
-        n2 = params.num_staggered_channels
+        shape = self.unit_bins.shape + (params.num_staggered_channels,
+                                        params.num_beams)
         state = self._r_state.get(azimuth)
-        if state is None or not np.any(state != 0):
-            weights = np.empty(
-                (params.num_segments, params.num_hard_doppler, n2, M), dtype=complex
-            )
-            weights[:] = quiescent_weights_stacked(self.steering, self._phases)[
-                None, :, :, :
-            ]
-            return weights
-        return compute_hard_weights(
+        idle = None if state is None else ~np.any(state, axis=(1, 2))
+        if idle is None or idle.all():
+            return self.plan.cold_hard_weights(self.unit_bins)
+        weights = compute_hard_weights_units(
             state,
-            self.steering,
+            self.plan.steering,
             self._phases,
             params.beam_constraint_weight,
             params.freq_constraint_weight,
         )
+        if idle.any():
+            weights[idle] = self.plan.cold_hard_weights(self.unit_bins.ravel()[idle])
+        return weights.reshape(shape)

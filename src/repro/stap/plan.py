@@ -9,13 +9,15 @@ STAPParams` and the steering matrix.  A :class:`KernelPlan` computes them
 exactly once — at pipeline/task setup — and every kernel call reuses the
 arrays.
 
-Numerics are unchanged by construction: the plan stores the *same* arrays
-the per-call code used to compute (same functions, same argument order),
-so a pipeline run with a plan is bit-identical to one without.  Bins are
-precomputed for the full Doppler extent and sliced per task
-(``stagger_phases[bins]``, ``hard_quiescent[bins]``); the underlying
-kernels are batch-composition independent, so a slice of the full-extent
-array equals the per-bin computation.
+Every path — the sequential reference, the simulator's functional tasks
+and the real runtime's workers — takes these constants from one plan,
+including the quiescent cold-start weights every path beamforms with
+before an azimuth's first training (:meth:`KernelPlan.cold_easy_weights`,
+:meth:`KernelPlan.cold_hard_weights`).  Bins are precomputed for the
+full Doppler extent and sliced per task (``stagger_phases[bins]``,
+``hard_quiescent[bins]``); the underlying kernels are batch-composition
+independent, so a slice of the full-extent array equals the per-bin
+computation.
 
 The plan is shared freely across tasks and with the sequential reference:
 all fields are read-only by convention (tasks only ever index into them).
@@ -28,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.radar.parameters import STAPParams
 from repro.radar.windows import window_by_name
 from repro.stap.cfar import cfar_threshold_factor, reference_cell_counts
@@ -65,6 +68,11 @@ class KernelPlan:
     def build(cls, params: STAPParams, steering: np.ndarray) -> "KernelPlan":
         """Compute every plan entry from scratch (once per run)."""
         steering = np.asarray(steering, dtype=complex)
+        if steering.shape != (params.num_channels, params.num_beams):
+            raise ConfigurationError(
+                f"steering shape {steering.shape} != "
+                f"({params.num_channels}, {params.num_beams})"
+            )
         phases = stagger_phase(params, np.arange(params.num_doppler))
         counts = reference_cell_counts(params)
         alpha = cfar_threshold_factor(counts, params.cfar_pfa)
@@ -83,6 +91,21 @@ class KernelPlan:
             cfar_alpha=alpha,
             cfar_factor=alpha / counts,
         )
+
+    # -- cold-start weights ------------------------------------------------------
+    # Until an azimuth's first training, every path beamforms with these.
+    def cold_easy_weights(self, bins) -> np.ndarray:
+        """Fresh easy weights, ``bins.shape + (J, M)``: :attr:`easy_quiescent`
+        for each absolute easy Doppler bin in ``bins``."""
+        shape = np.shape(bins) + self.easy_quiescent.shape
+        return np.broadcast_to(self.easy_quiescent, shape).copy()
+
+    def cold_hard_weights(self, unit_bins) -> np.ndarray:
+        """Fresh hard weights, ``unit_bins.shape + (2J, M)``: ``unit_bins``
+        holds the absolute Doppler bin of each (segment, bin) unit, in any
+        shape (the (S, B) grid beamforming takes, or a weight rank's flat
+        unit axis)."""
+        return self.hard_quiescent[np.asarray(unit_bins)]
 
 
 def build_kernel_plan(params: STAPParams, steering: np.ndarray) -> KernelPlan:

@@ -86,8 +86,9 @@ def pulse_compress_block(
     spectrum *= replica_freq[None, None, :]
     compressed = np.fft.ifft(spectrum, axis=2)
     power = compressed.real**2 + compressed.imag**2
-    # ``power`` is float64 (np.fft computes in double); copy=False returns
-    # it as-is for double-precision params instead of cloning the cube.
+    # ``power`` keeps the FFT's precision, which follows the input's;
+    # copy=False returns it as-is when that is already the params' real
+    # dtype instead of cloning the cube.
     power = power.astype(params.real_dtype, copy=False)
     if start is not None:
         from repro.stap.flops import pulse_compression_flops

@@ -1,12 +1,19 @@
-"""Sequential reference implementation of the full STAP chain.
+"""Sequential reference: the full STAP chain in one process.
 
-This is the "golden" version against which the parallel pipeline is
-verified: one process, one CPI at a time, no message passing.  It
-reproduces the pipeline's *temporal* semantics exactly (Section 5): the
-weights applied to CPI *i* are computed from the Doppler-filtered data of
-CPI *i-1* and earlier looks in the same azimuth — "the filtered CPI data
-sent to the beamforming tasks do not wait for the completion of its
-weight computation but rather for the completion of the weight
+One CPI at a time, no message passing.  Each task's numerics live in its
+:mod:`repro.stap` module — :func:`~repro.stap.doppler.doppler_filter`,
+the weight computers, :func:`~repro.stap.beamform.beamform_easy` /
+:func:`~repro.stap.beamform.beamform_hard`, pulse compression and CFAR —
+and the simulator's tasks and the real runtime's workers call the same
+code on their blocks.  This module only sequences the calls, which makes
+it the check on what the parallel paths add: partitioning,
+redistribution and routing.
+
+It reproduces the pipeline's *temporal* semantics exactly (Section 5):
+the weights applied to CPI *i* are computed from the Doppler-filtered
+data of CPI *i-1* and earlier looks in the same azimuth — "the filtered
+CPI data sent to the beamforming tasks do not wait for the completion of
+its weight computation but rather for the completion of the weight
 computation of the previous CPI."
 
 Per-CPI flow::
@@ -75,8 +82,8 @@ class SequentialSTAP:
             plan = KernelPlan.build(params, steering)
         self.plan = plan
         self.steering = plan.steering
-        self.easy = EasyWeightComputer(params, self.steering)
-        self.hard = HardWeightComputer(params, self.steering)
+        self.easy = EasyWeightComputer(plan)
+        self.hard = HardWeightComputer(plan)
         # Pending weights per azimuth (computed after the previous visit).
         self._easy_weights: Dict[int, np.ndarray] = {}
         self._hard_weights: Dict[int, np.ndarray] = {}

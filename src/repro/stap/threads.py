@@ -54,8 +54,8 @@ _Main = TypeVar("_Main")
 _budget: Optional[int] = None
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
-#: OpenBLAS thread-count entry points, tried in order: NumPy 2's and
-#: SciPy's ``libscipy_openblas*`` and NumPy 1.x's ``libopenblas64_p``.
+#: OpenBLAS thread-count entry points, tried in order: NumPy's and
+#: SciPy's ``libscipy_openblas*``, then a plain ``libopenblas``.
 _OPENBLAS_SYMBOLS = tuple(
     (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
     for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))

@@ -9,6 +9,11 @@ must be equal, and independent of how slices are grouped into batches
 reference).  These properties pin that claim across random shapes and
 values.
 
+The same holds one level up: the beamformers and the weight computers
+take any block of bins or (segment, bin) units, and a call on a block
+equals the full-extent call sliced — what lets the simulator's tasks and
+the real runtime run the reference's code on their own blocks.
+
 The one documented exception: a single-column right-hand side (M=1) may
 differ by a few ULP because BLAS dispatches ``gemv`` instead of ``gemm``.
 The pipeline always carries M >= 2 beams, so the strategies below draw
@@ -16,15 +21,24 @@ M >= 2 and assert exact equality.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.stap.easy_weights import compute_easy_weights, compute_easy_weights_loop
+from repro.radar import STAPParams
+from repro.stap.beamform import beamform_easy, beamform_hard
+from repro.stap.easy_weights import (
+    EasyWeightComputer,
+    compute_easy_weights,
+    compute_easy_weights_loop,
+)
 from repro.stap.hard_weights import (
-    compute_hard_weights,
+    HardWeightComputer,
     compute_hard_weights_loop,
-    update_r_block,
+    compute_hard_weights_units,
+    segment_grid,
     update_r_block_loop,
+    update_r_units,
 )
 from repro.stap.lsq import (
     qr_append_rows,
@@ -36,6 +50,7 @@ from repro.stap.lsq import (
     solve_constrained,
     solve_constrained_stacked,
 )
+from repro.stap.plan import default_plan
 
 
 def complex_stacks(max_batch=5, max_rows=12, max_cols=6, min_rows=1):
@@ -180,13 +195,100 @@ class TestBatchedWeightKernels:
         )
         state_batched = np.zeros((S, B, n2, n2), dtype=complex)
         state_loop = np.zeros((S, B, n2, n2), dtype=complex)
+        # The batched kernels take the (S, B) grid as one flat unit axis.
+        flat = state_batched.reshape(S * B, n2, n2)
         for _ in range(2):  # two recursion steps: cold + warm state
-            update_r_block(state_batched, training, forget)
+            update_r_units(flat, training.reshape(S * B, -1, n2), forget)
             update_r_block_loop(state_loop, training, forget)
             assert np.array_equal(state_batched, state_loop)
         steering = rng.standard_normal((J, M)) + 1j * rng.standard_normal((J, M))
         phases = np.exp(2j * np.pi * rng.random(B))
+        batched = compute_hard_weights_units(
+            flat, steering, np.tile(phases, S), 1.5, 0.7
+        )
         assert np.array_equal(
-            compute_hard_weights(state_batched, steering, phases, 1.5, 0.7),
+            batched.reshape(S, B, n2, M),
             compute_hard_weights_loop(state_loop, steering, phases, 1.5, 0.7),
         )
+
+
+# -- block invariance: a block of bins/units vs the full extent ------------------
+def _crandn(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _block(rng, total):
+    """A random non-empty, ordered subset of ``range(total)``."""
+    return np.sort(rng.choice(total, rng.integers(1, total + 1), replace=False))
+
+
+def _beamform_easy_block(rng, params, visits):
+    n, J, K, M = (params.num_easy_doppler, params.num_channels,
+                  params.num_ranges, params.num_beams)
+    data, weights = _crandn(rng, (n, J, K)), _crandn(rng, (n, J, M))
+    idx = _block(rng, n)
+    return (beamform_easy(data[idx], weights[idx], params),
+            beamform_easy(data, weights, params)[idx])
+
+
+def _beamform_hard_block(rng, params, visits):
+    n, n2, K = (params.num_hard_doppler, params.num_staggered_channels,
+                params.num_ranges)
+    data = _crandn(rng, (n, n2, K))
+    weights = _crandn(rng, (params.num_segments, n, n2, params.num_beams))
+    idx = _block(rng, n)
+    return (beamform_hard(data[idx], weights[:, idx], params),
+            beamform_hard(data, weights, params)[idx])
+
+
+def _easy_computer_block(rng, params, visits):
+    plan = default_plan(params)
+    idx = _block(rng, params.num_easy_doppler)
+    full = EasyWeightComputer(plan)
+    block = EasyWeightComputer(plan, params.easy_bins[idx])
+    for _ in range(visits):  # 0 visits: the cold start
+        training = _crandn(rng, (params.num_easy_doppler,
+                                 params.easy_train_per_cpi, params.num_channels))
+        full.push_training(training)
+        block.push_training(training[idx])
+    return block.compute_weights(), full.compute_weights()[idx]
+
+
+def _hard_computer_block(rng, params, visits):
+    plan = default_plan(params)
+    n2, M = params.num_staggered_channels, params.num_beams
+    grid = segment_grid(params, params.hard_bins)
+    idx = _block(rng, grid.size)
+    full = HardWeightComputer(plan)
+    block = HardWeightComputer(plan, grid.ravel()[idx])
+    # Some units see only zeros: they keep the quiescent weights.
+    idle = rng.random(grid.shape) < 0.3
+    for _ in range(visits):
+        training = _crandn(rng, grid.shape + (params.hard_train_samples, n2))
+        training[idle] = 0.0
+        full.update(training)
+        block.update(training.reshape(-1, params.hard_train_samples, n2)[idx])
+    return (block.compute_weights(),
+            full.compute_weights().reshape(-1, n2, M)[idx])
+
+
+BLOCK_KERNELS = {
+    "beamform_easy": _beamform_easy_block,
+    "beamform_hard": _beamform_hard_block,
+    "easy_weight_computer": _easy_computer_block,
+    "hard_weight_computer": _hard_computer_block,
+}
+
+
+class TestBlockInvariance:
+    @pytest.mark.parametrize("kernel", sorted(BLOCK_KERNELS))
+    @given(
+        st.sampled_from(["tiny", "small"]),
+        st.integers(min_value=0, max_value=3),   # training visits
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_block_equals_full_extent_sliced(self, kernel, scale, visits, seed):
+        params = getattr(STAPParams, scale)()
+        block, full = BLOCK_KERNELS[kernel](np.random.default_rng(seed), params, visits)
+        assert np.array_equal(block, full)

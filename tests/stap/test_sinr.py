@@ -14,6 +14,7 @@ from repro.radar import (
 from repro.stap.doppler import doppler_filter
 from repro.stap.easy_weights import EasyWeightComputer, extract_easy_training
 from repro.stap.lsq import quiescent_weights
+from repro.stap.plan import KernelPlan
 from repro.stap.reference import default_steering
 from repro.stap.sinr import (
     cancellation_ratio_db,
@@ -75,7 +76,7 @@ class TestJammerNulling:
             seed=5,
         )
         steering = default_steering(params)
-        computer = EasyWeightComputer(params, steering)
+        computer = EasyWeightComputer(KernelPlan.build(params, steering))
         for cpi in range(3):
             stag = doppler_filter(generate_cpi(params, scenario, cpi))
             computer.push_training(extract_easy_training(stag, params))
@@ -97,7 +98,7 @@ class TestJammerNulling:
     def test_sinr_improvement_against_clutter(self, params):
         scenario = RadarScenario(clutter_to_noise_db=40.0, targets=(), seed=5)
         steering = default_steering(params)
-        computer = EasyWeightComputer(params, steering)
+        computer = EasyWeightComputer(KernelPlan.build(params, steering))
         stags = []
         for cpi in range(3):
             stag = doppler_filter(generate_cpi(params, scenario, cpi))

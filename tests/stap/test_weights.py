@@ -14,6 +14,7 @@ from repro.stap.easy_weights import (
 )
 from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
 from repro.stap.lsq import quiescent_weights
+from repro.stap.plan import KernelPlan
 from repro.stap.reference import default_steering
 
 
@@ -25,6 +26,11 @@ def params():
 @pytest.fixture
 def steering(params):
     return default_steering(params)
+
+
+@pytest.fixture
+def plan(params, steering):
+    return KernelPlan.build(params, steering)
 
 
 def staggered_cube(params, seed=0, cnr=35.0):
@@ -68,34 +74,34 @@ class TestEasyTraining:
 
 
 class TestEasyWeightComputer:
-    def test_quiescent_before_history(self, params, steering):
-        computer = EasyWeightComputer(params, steering)
+    def test_quiescent_before_history(self, params, steering, plan):
+        computer = EasyWeightComputer(plan)
         w = computer.compute_weights()
         expected = quiescent_weights(steering)
         assert np.allclose(w, expected[None, :, :])
 
-    def test_history_capped_at_three(self, params, steering):
-        computer = EasyWeightComputer(params, steering)
+    def test_history_capped_at_three(self, params, plan):
+        computer = EasyWeightComputer(plan)
         for i in range(5):
             computer.push_training(extract_easy_training(staggered_cube(params, i), params))
         assert computer.history_depth() == 3
 
-    def test_azimuth_histories_independent(self, params, steering):
-        computer = EasyWeightComputer(params, steering)
+    def test_azimuth_histories_independent(self, params, plan):
+        computer = EasyWeightComputer(plan)
         computer.push_training(extract_easy_training(staggered_cube(params, 0), params), azimuth=0)
         assert computer.history_depth(azimuth=0) == 1
         assert computer.history_depth(azimuth=1) == 0
 
-    def test_weights_unit_norm(self, params, steering):
-        computer = EasyWeightComputer(params, steering)
+    def test_weights_unit_norm(self, params, plan):
+        computer = EasyWeightComputer(plan)
         computer.push_training(extract_easy_training(staggered_cube(params), params))
         w = computer.compute_weights()
         assert np.allclose(np.linalg.norm(w, axis=1), 1.0)
 
-    def test_adaptive_weights_cut_clutter_output(self, params, steering):
+    def test_adaptive_weights_cut_clutter_output(self, params, steering, plan):
         """The whole point: output clutter power with adaptive weights must
         be far below the quiescent beamformer's."""
-        computer = EasyWeightComputer(params, steering)
+        computer = EasyWeightComputer(plan)
         training_cubes = [staggered_cube(params, seed) for seed in range(3)]
         for stag in training_cubes:
             computer.push_training(extract_easy_training(stag, params))
@@ -112,14 +118,14 @@ class TestEasyWeightComputer:
 
         assert output_power(adaptive) < 0.15 * output_power(quiescent)
 
-    def test_bad_training_shape_rejected(self, params, steering):
-        computer = EasyWeightComputer(params, steering)
+    def test_bad_training_shape_rejected(self, params, plan):
+        computer = EasyWeightComputer(plan)
         with pytest.raises(ConfigurationError):
             computer.push_training(np.zeros((1, 2, 3)))
 
     def test_bad_steering_shape_rejected(self, params):
         with pytest.raises(ConfigurationError):
-            EasyWeightComputer(params, np.zeros((3, 3)))
+            KernelPlan.build(params, np.zeros((3, 3)))
 
     def test_compute_easy_weights_validates(self, steering):
         with pytest.raises(ConfigurationError):
@@ -147,8 +153,8 @@ class TestHardTraining:
 
 
 class TestHardWeightComputer:
-    def test_quiescent_is_coherent_staggered_combiner(self, params, steering):
-        computer = HardWeightComputer(params, steering)
+    def test_quiescent_is_coherent_staggered_combiner(self, params, plan):
+        computer = HardWeightComputer(plan)
         w = computer.compute_weights()
         J = params.num_channels
         phases = np.exp(
@@ -158,24 +164,24 @@ class TestHardWeightComputer:
             ratio = w[0, idx, J:, 0] / w[0, idx, :J, 0]
             assert np.allclose(ratio, phases[idx])
 
-    def test_has_history_flag(self, params, steering):
-        computer = HardWeightComputer(params, steering)
+    def test_has_history_flag(self, params, plan):
+        computer = HardWeightComputer(plan)
         assert not computer.has_history()
         computer.update(extract_hard_training(staggered_cube(params), params))
         assert computer.has_history()
 
-    def test_weights_unit_norm_after_update(self, params, steering):
-        computer = HardWeightComputer(params, steering)
+    def test_weights_unit_norm_after_update(self, params, plan):
+        computer = HardWeightComputer(plan)
         computer.update(extract_hard_training(staggered_cube(params), params))
         w = computer.compute_weights()
         assert np.allclose(np.linalg.norm(w, axis=2), 1.0)
 
-    def test_adaptive_weights_cut_clutter_output(self, params, steering):
-        computer = HardWeightComputer(params, steering)
+    def test_adaptive_weights_cut_clutter_output(self, params, plan):
+        computer = HardWeightComputer(plan)
         for seed in range(3):
             computer.update(extract_hard_training(staggered_cube(params, seed), params))
         adaptive = computer.compute_weights()
-        quiescent = HardWeightComputer(params, steering).compute_weights()
+        quiescent = HardWeightComputer(plan).compute_weights()
         test_cube = staggered_cube(params, seed=99)
         hard = test_cube[params.hard_bins]
 
@@ -188,10 +194,10 @@ class TestHardWeightComputer:
 
         assert output_power(adaptive) < 0.5 * output_power(quiescent)
 
-    def test_forgetting_tracks_changing_clutter(self, params, steering):
+    def test_forgetting_tracks_changing_clutter(self, params, plan):
         """After many updates from clutter realization A then one from B,
         recent data must dominate (forgetting factor 0.6)."""
-        computer = HardWeightComputer(params, steering)
+        computer = HardWeightComputer(plan)
         for seed in range(4):
             computer.update(extract_hard_training(staggered_cube(params, seed), params))
         state_after_a = computer._r_state[0].copy()
@@ -199,7 +205,7 @@ class TestHardWeightComputer:
         # 0.6^2 = 0.36: old information decayed, new injected.
         assert not np.allclose(state_after_a, computer._r_state[0])
 
-    def test_bad_training_shape_rejected(self, params, steering):
-        computer = HardWeightComputer(params, steering)
+    def test_bad_training_shape_rejected(self, params, plan):
+        computer = HardWeightComputer(plan)
         with pytest.raises(ConfigurationError):
             computer.update(np.zeros((1, 2, 3, 4)))
