@@ -46,7 +46,8 @@ from repro import (
     SequentialSTAP,
     TargetTruth,
 )
-from repro.perf import achieved_vs_table1, kernel_counters
+from repro.obs.metrics import metrics_registry
+from repro.perf import achieved_vs_table1, kernel_summary
 from repro.stap import easy_weights as ew
 from repro.stap import hard_weights as hw
 from repro.stap.doppler import doppler_filter_block, min_split_cells, stagger_phase
@@ -307,14 +308,15 @@ def bench_functional_pipeline(params: STAPParams, num_cpis: int = NUM_CPIS) -> d
     }
 
 
-def bench_kernel_counters(params: STAPParams, num_cpis: int = NUM_CPIS) -> dict:
+def bench_kernel_metrics(params: STAPParams, num_cpis: int = NUM_CPIS) -> dict:
     """Per-kernel seconds and achieved flops/s over a batched reference run."""
     cubes = CPIStream(params, bench_scenario()).take(num_cpis)
-    with kernel_counters.collect():
+    with metrics_registry.collect():
         SequentialSTAP(params).process_stream(cubes)
-    comparison = achieved_vs_table1(num_cpis=num_cpis)
-    print(kernel_counters.summary(title=f"kernel counters ({num_cpis} CPIs)"))
-    return comparison
+    snapshot = metrics_registry.snapshot()
+    metrics_registry.reset()
+    print(kernel_summary(snapshot, title=f"kernel counters ({num_cpis} CPIs)"))
+    return achieved_vs_table1(snapshot, num_cpis=num_cpis)
 
 
 def measure_all(params: STAPParams, scale: str, num_cpis: int = NUM_CPIS) -> dict:
@@ -324,7 +326,7 @@ def measure_all(params: STAPParams, scale: str, num_cpis: int = NUM_CPIS) -> dic
         "kernel_threads": kernel_threads(),
         "kernels": bench_weight_kernels(params),
         "doppler": bench_doppler(params),
-        "counters": bench_kernel_counters(params, num_cpis),
+        "counters": bench_kernel_metrics(params, num_cpis),
         "end_to_end": bench_end_to_end(params, num_cpis),
         "functional_pipeline": bench_functional_pipeline(params, num_cpis),
     }

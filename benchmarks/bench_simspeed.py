@@ -344,7 +344,7 @@ def test_exec_sweep_smoke():
     """
     from repro.exec import ResultCache
     from repro.experiments import speedup_series
-    from repro.perf import exec_counters
+    from repro.obs.metrics import metrics_registry
 
     node_counts = (2, 3, 4, 6, 8, 12, 16, 24)
     jobs = 4
@@ -365,14 +365,18 @@ def test_exec_sweep_smoke():
     assert parallel == serial
 
     # Repeat: all cache hits, zero new simulations.
-    before = exec_counters.snapshot()
-    repeated = speedup_series(
-        "cfar", node_counts, jobs=jobs, cache=parallel_cache, **sweep
-    )
-    delta = exec_counters.delta_since(before)
+    with metrics_registry.collect():
+        repeated = speedup_series(
+            "cfar", node_counts, jobs=jobs, cache=parallel_cache, **sweep
+        )
+    counts = metrics_registry.snapshot()
+    metrics_registry.reset()
     assert repeated == parallel
-    assert delta["simulations_run"] == 0, delta
-    assert delta["cache_hits_memory"] == len(node_counts), delta
+    simulated = (counts.value("exec_points_total", {"status": "simulated"})
+                 + counts.value("exec_probes_total", {"source": "simulated"}))
+    assert simulated == 0, counts
+    hits = counts.value("exec_cache_hits_total", {"layer": "memory"})
+    assert hits == len(node_counts), counts
 
     speedup = serial_wall / parallel_wall if parallel_wall else 0.0
     cpus = _usable_cpus()

@@ -63,6 +63,26 @@ def _enable_metrics(args) -> bool:
     return True
 
 
+def _executor_counts(snapshot) -> dict:
+    """The executor summary figures of a metrics snapshot.
+
+    ``simulated`` counts every simulation a sweep ran: its points and the
+    probe phases of measured points, in this process or in pool workers.
+    """
+    points = {
+        status: int(snapshot.value("exec_points_total", {"status": status}))
+        for status in ("simulated", "error")
+    }
+    probes = snapshot.value("exec_probes_total", {"source": "simulated"})
+    return {
+        "points": int(snapshot.total("exec_points_total")),
+        "simulated": points["simulated"] + int(probes),
+        "errors": points["error"],
+        "hits": int(snapshot.total("exec_cache_hits_total")),
+        "disk": int(snapshot.value("exec_cache_hits_total", {"layer": "disk"})),
+    }
+
+
 def _write_metrics(args) -> None:
     """Dump the registry to ``--metrics-out`` in the requested format."""
     from repro.obs.metrics import metrics_registry, write_snapshot
@@ -76,8 +96,8 @@ def _write_metrics(args) -> None:
 
 def _add_metrics_flags(subparser) -> None:
     subparser.add_argument("--metrics-out", metavar="PATH", default=None,
-                           help="enable the metrics registry and write its "
-                                "snapshot to PATH after the run")
+                           help="write the metrics registry's snapshot to "
+                                "PATH after the run")
     subparser.add_argument("--metrics-format", choices=("json", "prom"),
                            default="json",
                            help="snapshot format for --metrics-out "
@@ -188,7 +208,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_tune(args) -> int:
     from repro.machine import machine_scenario
-    from repro.perf import exec_counters
+    from repro.obs.metrics import metrics_registry
     from repro.scheduling import TunerConfig, tune
 
     params = _preset_params(args.params)
@@ -214,23 +234,20 @@ def cmd_tune(args) -> int:
         from repro.obs import SweepDashboard
 
         dash = SweepDashboard(label=f"tune:{args.scenario}:{args.budget}")
-    metered = _enable_metrics(args)
-    before = exec_counters.snapshot()
-    result = tune(
-        params,
-        args.budget,
-        machine=machine,
-        config=config,
-        seeds=seeds,
-        campaign_dir=args.campaign_dir,
-        progress=dash,
-    )
-    delta = exec_counters.delta_since(before)
+    with metrics_registry.collect():
+        result = tune(
+            params,
+            args.budget,
+            machine=machine,
+            config=config,
+            seeds=seeds,
+            campaign_dir=args.campaign_dir,
+            progress=dash,
+        )
+    counts = _executor_counts(metrics_registry.snapshot())
     print(result.summary())
-    hits = delta["cache_hits_memory"] + delta["cache_hits_disk"]
-    print(f"\nexecutor: {delta['points_submitted']} points, "
-          f"{delta['simulations_run']} simulated, {hits} from cache "
-          f"({delta['cache_hits_disk']} disk)")
+    print("\nexecutor: {points} points, {simulated} simulated, "
+          "{hits} from cache ({disk} disk)".format(**counts))
     if dash is not None:
         print()
         print(dash.summary())
@@ -239,7 +256,7 @@ def cmd_tune(args) -> int:
         front.extra.update(result.to_dict()["extra"])
         path = front.save(args.out)
         print(f"wrote Pareto front {path}")
-    if metered:
+    if args.metrics_out:
         _write_metrics(args)
     return 0
 
@@ -321,56 +338,52 @@ def cmd_report(args) -> int:
 def cmd_sweep(args) -> int:
     from repro.exec import ResultCache, set_default_cache
     from repro.experiments import scalability_curve, speedup_series
-    from repro.perf import exec_counters
+    from repro.obs.metrics import metrics_registry
 
     cache = None if args.no_cache else ResultCache(directory=args.cache_dir)
     if cache is not None:
         set_default_cache(cache)
-    metered = _enable_metrics(args)
     dash = None
     if args.dashboard:
         from repro.obs import SweepDashboard
 
         dash = SweepDashboard(label=f"sweep:{args.kind}")
-    before = exec_counters.snapshot()
-    if args.kind == "speedup":
-        nodes = [int(n) for n in args.nodes.split(",")]
-        series = speedup_series(
-            args.task, nodes, num_cpis=args.cpis, jobs=args.jobs, cache=cache,
-            backend=args.backend, progress=dash,
-            campaign_dir=args.campaign_dir,
-        )
-        print(f"=== Figure 11 series: {args.task} "
-              f"(jobs={args.jobs}, {len(series)} points) ===")
-        print(f"{'nodes':>6} {'comp (s)':>10} {'speedup':>9} "
-              f"{'ideal':>7} {'efficiency':>11}")
-        for point in series:
-            print(f"{point.nodes:>6} {point.comp_seconds:>10.4f} "
-                  f"{point.speedup:>9.3f} {point.ideal_speedup:>7.2f} "
-                  f"{point.efficiency:>11.3f}")
-    else:
-        budgets = [int(b) for b in args.budgets.split(",")]
-        curve = scalability_curve(
-            budgets, num_cpis=args.cpis, measured=args.measured,
-            jobs=args.jobs, cache=cache, backend=args.backend, progress=dash,
-            campaign_dir=args.campaign_dir,
-        )
-        print(f"=== scalability curve (jobs={args.jobs}, "
-              f"{len(curve)} points) ===")
-        print(f"{'budget':>7} {'nodes':>6} {'throughput':>11} {'latency':>9}")
-        for point in curve:
-            print(f"{point.budget:>7} {point.assignment.total_nodes:>6} "
-                  f"{point.throughput:>11.4f} {point.latency:>9.4f}")
-    delta = exec_counters.delta_since(before)
-    hits = delta["cache_hits_memory"] + delta["cache_hits_disk"]
-    print(f"\nexecutor: {delta['points_submitted']} points, "
-          f"{delta['simulations_run']} simulated, {hits} from cache "
-          f"({delta['cache_hits_disk']} disk), "
-          f"{delta['point_errors']} errors")
+    with metrics_registry.collect():
+        if args.kind == "speedup":
+            nodes = [int(n) for n in args.nodes.split(",")]
+            series = speedup_series(
+                args.task, nodes, num_cpis=args.cpis, jobs=args.jobs, cache=cache,
+                backend=args.backend, progress=dash,
+                campaign_dir=args.campaign_dir,
+            )
+            print(f"=== Figure 11 series: {args.task} "
+                  f"(jobs={args.jobs}, {len(series)} points) ===")
+            print(f"{'nodes':>6} {'comp (s)':>10} {'speedup':>9} "
+                  f"{'ideal':>7} {'efficiency':>11}")
+            for point in series:
+                print(f"{point.nodes:>6} {point.comp_seconds:>10.4f} "
+                      f"{point.speedup:>9.3f} {point.ideal_speedup:>7.2f} "
+                      f"{point.efficiency:>11.3f}")
+        else:
+            budgets = [int(b) for b in args.budgets.split(",")]
+            curve = scalability_curve(
+                budgets, num_cpis=args.cpis, measured=args.measured,
+                jobs=args.jobs, cache=cache, backend=args.backend, progress=dash,
+                campaign_dir=args.campaign_dir,
+            )
+            print(f"=== scalability curve (jobs={args.jobs}, "
+                  f"{len(curve)} points) ===")
+            print(f"{'budget':>7} {'nodes':>6} {'throughput':>11} {'latency':>9}")
+            for point in curve:
+                print(f"{point.budget:>7} {point.assignment.total_nodes:>6} "
+                      f"{point.throughput:>11.4f} {point.latency:>9.4f}")
+    counts = _executor_counts(metrics_registry.snapshot())
+    print("\nexecutor: {points} points, {simulated} simulated, {hits} from "
+          "cache ({disk} disk), {errors} errors".format(**counts))
     if dash is not None:
         print()
         print(dash.summary())
-    if metered:
+    if args.metrics_out:
         _write_metrics(args)
     return 0
 
@@ -406,23 +419,20 @@ def _campaign_execute(campaign, args) -> int:
     """Drain (part of) a campaign's queue and report what happened."""
     from repro.exec import raise_on_failures
     from repro.obs import campaign_status
-    from repro.perf import exec_counters
+    from repro.obs.metrics import metrics_registry
 
     dash = None
     if args.dashboard:
         from repro.obs import SweepDashboard
 
         dash = SweepDashboard(label=f"campaign:{campaign.store.name}")
-    before = exec_counters.snapshot()
-    outcomes = campaign.run(
-        jobs=args.jobs, progress=dash, limit=args.max_points
-    )
-    delta = exec_counters.delta_since(before)
-    hits = delta["cache_hits_memory"] + delta["cache_hits_disk"]
-    print(f"campaign: {delta['points_submitted']} points processed, "
-          f"{delta['simulations_run']} simulated, {hits} from store "
-          f"({delta['cache_hits_disk']} disk), "
-          f"{delta['point_errors']} errors")
+    with metrics_registry.collect():
+        outcomes = campaign.run(
+            jobs=args.jobs, progress=dash, limit=args.max_points
+        )
+    counts = _executor_counts(metrics_registry.snapshot())
+    print("campaign: {points} points processed, {simulated} simulated, "
+          "{hits} from store ({disk} disk), {errors} errors".format(**counts))
     print()
     print(campaign_status(args.dir))
     raise_on_failures(outcomes)

@@ -255,18 +255,8 @@ class STAPPipeline:
     def run(self) -> PipelineResult:
         """Simulate the whole run and aggregate the paper's measurements."""
         from repro.des.backends import get_backend
-        from repro.obs.metrics import (
-            kernel_stats_snapshot,
-            metrics_registry,
-            record_pipeline_run,
-        )
+        from repro.obs.metrics import metrics_registry, record_pipeline_run
 
-        # Pull-based metrics: snapshot the kernel counters up front, then
-        # flush everything the run already counted *after* sim.run(), so
-        # an enabled registry can never perturb a virtual timestamp.
-        kernel_before = (
-            kernel_stats_snapshot() if metrics_registry.enabled else None
-        )
         engine = get_backend(self.backend)
         sim = engine.create_simulator()
         world = World(
@@ -299,17 +289,15 @@ class STAPPipeline:
                 name=f"{task.name}[{task.local_rank}]",
             )
         if self.perf:
-            before = snapshot_counters(sim, world)
             wall_start = time.perf_counter()
             sim.run()
             wall = time.perf_counter() - wall_start
-            perf_report = PerfReport.from_snapshots(
-                before,
-                snapshot_counters(sim, world),
+            perf_report = PerfReport(
                 wall_seconds=wall,
                 sim_seconds=sim.now,
                 num_cpis=self.num_cpis,
                 label=f"{self.assignment.name or 'pipeline'} [{self.mode}]",
+                **snapshot_counters(sim, world),
             )
         else:
             sim.run()
@@ -319,10 +307,7 @@ class STAPPipeline:
             sink.meta["makespan"] = sim.now
         metrics = self._aggregate(collector)
         if metrics_registry.enabled:
-            record_pipeline_run(
-                self, sim, world, metrics,
-                makespan=sim.now, kernel_before=kernel_before,
-            )
+            record_pipeline_run(self, sim, world, metrics, makespan=sim.now)
         reports = self._reports(collector)
         return PipelineResult(
             metrics=metrics,

@@ -15,8 +15,10 @@ This package runs such grids as fast as the host allows:
   on-disk store with a versioned manifest of declared points plus the
   pull-based pending/complete work queue, so multi-hour sweeps resume
   across processes and runs (``repro-stap campaign run/status/resume``);
-* :data:`repro.perf.exec_counters` — always-on counters proving, e.g.,
-  that a repeated sweep performed zero new simulations.
+* the ``exec_*`` series of the metrics registry
+  (:mod:`repro.obs.metrics`), counted while it is enabled: points by
+  status, cache hits/misses/stores, probe phases, proving, e.g., that a
+  repeated sweep performed zero new simulations.
 
 Quick start::
 

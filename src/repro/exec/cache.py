@@ -60,7 +60,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from repro.machine import Machine, Mesh2D, afrl_paragon
-from repro.perf import exec_counters
+from repro.obs.metrics import metrics_registry
 from repro.version import __version__
 
 #: Bump to invalidate every cached result (schema or semantics change).
@@ -79,25 +79,10 @@ CACHE_SCHEMA = 3
 #: fingerprint includes it.
 MANIFEST_SCHEMA = 1
 
-_metrics_registry = None
-
-
-def _metrics():
-    """The process metrics registry, imported lazily (repro.obs pulls in
-    repro.core; a module-level import here would risk a cycle)."""
-    global _metrics_registry
-    if _metrics_registry is None:
-        from repro.obs.metrics import metrics_registry
-
-        _metrics_registry = metrics_registry
-    return _metrics_registry
-
-
 def _count(name: str, help: str, **labels) -> None:
     """Record one cache event into the metrics registry when it is on."""
-    reg = _metrics()
-    if reg.enabled:
-        reg.counter(name, help, labels=labels or None).inc()
+    if metrics_registry.enabled:
+        metrics_registry.counter(name, help, labels=labels or None).inc()
 
 
 # -- fingerprinting ------------------------------------------------------------------
@@ -225,7 +210,6 @@ class ResultCache:
         cached = self._memory.get(key)
         if cached is not None:
             self._memory.move_to_end(key)
-            exec_counters.inc("cache_hits_memory")
             _count("exec_cache_hits_total", "result-cache hits", layer="memory")
             return deepcopy(cached)
         if self.directory is not None:
@@ -237,16 +221,13 @@ class ResultCache:
                 result = None
             except Exception:
                 # Truncated or corrupt entry: a (counted) miss, not a crash.
-                exec_counters.inc("cache_corrupt")
                 _count("exec_cache_corrupt_total",
                        "disk entries that existed but failed to load")
                 result = None
             if result is not None:
-                exec_counters.inc("cache_hits_disk")
                 _count("exec_cache_hits_total", "result-cache hits", layer="disk")
                 self._remember(key, result)
                 return deepcopy(result)
-        exec_counters.inc("cache_misses")
         _count("exec_cache_misses_total", "result-cache lookups that missed")
         return None
 
@@ -285,7 +266,6 @@ class ResultCache:
     def put(self, key: str, result) -> None:
         """Store one result under its content key (memory, then disk)."""
         self._remember(key, deepcopy(result))
-        exec_counters.inc("cache_stores")
         _count("exec_cache_stores_total", "results written into the cache")
         if self.directory is None:
             return

@@ -16,9 +16,10 @@ completion order, so ``jobs`` never changes what a caller sees:
 
 One failed point does not kill the batch: its traceback is captured on
 the outcome (``outcome.error``) and the remaining points still run.
-Progress callbacks fire once per completed point (cache hits included)
-and the :data:`repro.perf.exec_counters` totals are maintained
-throughout.
+Progress callbacks fire once per completed point (cache hits included).
+While the metrics registry (:mod:`repro.obs.metrics`) is enabled, every
+completed point counts once in ``exec_points_total{status}``, whether it
+ran here or in a pool worker.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.exec.cache import (
     resolve_cache,
 )
 from repro.exec.point import PointResult, SimPoint
-from repro.perf import exec_counters
+from repro.obs.metrics import metrics_registry
 
 #: ``progress(completed_count, total, outcome)`` — called once per point,
 #: in completion order (which is input order for cache hits and ``jobs=1``).
@@ -114,11 +115,8 @@ def _run_point(index: int, point: SimPoint, collect_metrics: bool = False):
     merge — giving ``jobs>1`` the same campaign-wide totals a serial run
     records directly.
     """
-    registry = None
     if collect_metrics:
-        from repro.obs.metrics import metrics_registry as registry
-
-        registry.enable(reset=True)
+        metrics_registry.enable(reset=True)
     start = time.perf_counter()
     try:
         result = point.run()
@@ -127,9 +125,9 @@ def _run_point(index: int, point: SimPoint, collect_metrics: bool = False):
         result, error = None, traceback.format_exc()
     elapsed = time.perf_counter() - start
     snapshot = None
-    if registry is not None:
-        snapshot = registry.snapshot().to_dict()
-        registry.disable()
+    if collect_metrics:
+        snapshot = metrics_registry.snapshot().to_dict()
+        metrics_registry.disable()
     return index, result, error, elapsed, snapshot
 
 
@@ -170,8 +168,6 @@ def _execute(
     or ``None``); each point is first pulled from it (complete → served,
     no simulation) and fresh results are atomically published back.
     """
-    from repro.obs.metrics import metrics_registry
-
     points = list(points)
     total = len(points)
     outcomes: list[Optional[PointOutcome]] = [None] * total
@@ -183,12 +179,10 @@ def _execute(
         outcomes[outcome.index] = outcome
         completed += 1
         if outcome.error is not None:
-            exec_counters.inc("point_errors")
             status = "error"
         elif outcome.cached:
             status = "cached"
         else:
-            exec_counters.inc("simulations_run")
             status = "simulated"
         if metered:
             metrics_registry.counter(
@@ -205,11 +199,14 @@ def _execute(
             try:
                 progress(completed, total, outcome)
             except Exception:
-                exec_counters.inc("progress_errors")
+                if metered:
+                    metrics_registry.counter(
+                        "exec_progress_errors_total",
+                        "progress callbacks that raised (contained)",
+                    ).inc()
 
     pending: list[tuple[int, SimPoint, Optional[str]]] = []
     for index, point in enumerate(points):
-        exec_counters.inc("points_submitted")
         # rt points time real processes: not content-addressable, never
         # looked up or stored.
         key = (cache_key(point)

@@ -19,6 +19,7 @@ from repro.core.metrics import PipelineMetrics, TaskMetrics
 from repro.des.backends import resolve_backend
 from repro.errors import ConfigurationError
 from repro.machine import Machine
+from repro.obs.metrics import metrics_registry
 from repro.radar.parameters import STAPParams
 from repro.radar.scenario import RadarScenario
 
@@ -203,7 +204,6 @@ def probe_throughput(pipeline) -> Optional[float]:
     probe itself.
     """
     from repro.exec.cache import cache_key, get_default_cache
-    from repro.perf import exec_counters
 
     if pipeline.mode != "modeled" or not getattr(
         pipeline, "_default_steering", False
@@ -224,11 +224,14 @@ def probe_throughput(pipeline) -> Optional[float]:
     )
     cache = get_default_cache()
     key = cache_key(point)
-    hit = cache.get(key)
-    if hit is not None:
-        exec_counters.inc("probe_cache_hits")
-        return hit.metrics.measured_throughput
-    result = point.run()
-    exec_counters.inc("simulations_run")
-    cache.put(key, result)
+    result = cache.get(key)
+    source = "cache"
+    if result is None:
+        result, source = point.run(), "simulated"
+        cache.put(key, result)
+    if metrics_registry.enabled:
+        metrics_registry.counter(
+            "exec_probes_total", "run_measured probe phases, by source",
+            labels={"source": source},
+        ).inc()
     return result.metrics.measured_throughput

@@ -60,22 +60,33 @@ from repro.obs.metrics import (
     write_snapshot,
 )
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.report import EdgeTraffic, PipelineObsReport, build_report
-from repro.obs.dashboard import SweepDashboard
-from repro.obs.progress import campaign_status, read_campaign_progress
 
-_REGRESS_EXPORTS = ("RegressionReport", "compare", "compare_files")
+#: Exports resolved on first access.  ``report``, ``dashboard`` and
+#: ``progress`` import :mod:`repro.core`, whose tasks import the STAP
+#: kernels, which record into :mod:`repro.obs.metrics`: importing them
+#: here would close that cycle.  ``regress`` stays lazy so that
+#: ``python -m repro.obs.regress`` does not find itself already in
+#: ``sys.modules`` (runpy's RuntimeWarning).
+_LAZY_EXPORTS = {
+    "EdgeTraffic": "report",
+    "PipelineObsReport": "report",
+    "build_report": "report",
+    "SweepDashboard": "dashboard",
+    "campaign_status": "progress",
+    "read_campaign_progress": "progress",
+    "RegressionReport": "regress",
+    "compare": "regress",
+    "compare_files": "regress",
+}
 
 
 def __getattr__(name):
-    # Lazy: ``python -m repro.obs.regress`` first imports this package, and
-    # an eager submodule import here would trigger runpy's found-in-
-    # sys.modules RuntimeWarning on every CLI gate invocation.
-    if name in _REGRESS_EXPORTS:
-        from repro.obs import regress
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(regress, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 __all__ = [
     "ITERATION_PHASES",

@@ -17,9 +17,12 @@ Everything hangs off a process-wide :class:`MetricsRegistry`
 (:data:`metrics_registry`), **default-off**: instruments only record when
 the registry is enabled, and the instrumented layers guard their calls
 with one ``enabled`` check, mirroring the trace layer's ``is None``
-convention.  Recording is pull-shaped — producers flush counters the
-simulation already maintained *after* a run (:func:`record_pipeline_run`)
-— so enabling metrics can never change a simulated timestamp.
+convention.  It is the one place run counters live: the batch executor,
+the result cache and the STAP kernels (:func:`record_kernel`) count
+straight into it.  Simulator recording is pull-shaped — producers flush
+counters the simulation already maintained *after* a run
+(:func:`record_pipeline_run`) — so enabling metrics can never change a
+simulated timestamp.
 
 Cross-process story: :meth:`MetricsRegistry.snapshot` freezes the
 registry into a plain-dict :class:`MetricsSnapshot`; worker processes of
@@ -236,6 +239,13 @@ class MetricsSnapshot:
                 return entry["value"]
         return 0.0
 
+    def total(self, name: str) -> float:
+        """Sum of a counter over all its label sets (0.0 when absent)."""
+        return sum(
+            entry["value"] for entry in self.data["counters"].values()
+            if entry["name"] == name
+        )
+
     def histogram(self, name: str,
                   labels: Optional[Mapping[str, str]] = None) -> Optional[dict]:
         return self.data["histograms"].get(series_name(name, labels))
@@ -410,21 +420,39 @@ class MetricsRegistry:
 metrics_registry = MetricsRegistry()
 
 
-# -- run-level flush ---------------------------------------------------------------
-def kernel_stats_snapshot() -> dict:
-    """Current ``{kernel: (calls, seconds, flops)}`` of the kernel counters
-    (for delta-based flushing around one run)."""
-    from repro.perf import kernel_counters
+# -- recording helpers --------------------------------------------------------------
+def record_kernel(kernel: str, seconds: float, flops: float) -> None:
+    """Credit one call of a STAP kernel: ``stap_kernel_{calls,seconds,flops}_total``.
 
-    return {
-        name: (stats.calls, stats.seconds, stats.flops)
-        for name, stats in kernel_counters.stats().items()
-    }
+    Records only while :data:`metrics_registry` is enabled.  Each kernel
+    calls it once per call, from the calling thread, after any split
+    across kernel threads (:mod:`repro.stap.threads`) has finished, so a
+    split call is one entry whose seconds are the wall time of the whole
+    call.  ``flops`` are the analytic counts of :mod:`repro.stap.flops`
+    scaled by the call's share of the cube: useful operations against the
+    paper's Table 1, not machine instructions.  Kernels may run on several
+    threads at once (the sequential reference overlaps its detection and
+    weight branches), so the three increments are made under the registry
+    lock; the seconds of overlapping kernels sum to more than the wall
+    time.  Instruments are looked up per call, because
+    :meth:`~MetricsRegistry.reset` drops them.
+    """
+    reg = metrics_registry
+    if not reg.enabled:
+        return
+    labels = {"kernel": kernel}
+    with reg._lock:
+        reg.counter("stap_kernel_calls_total",
+                    "instrumented kernel invocations", labels=labels).inc()
+        reg.counter("stap_kernel_seconds_total",
+                    "host seconds inside instrumented kernels",
+                    labels=labels).inc(seconds)
+        reg.counter("stap_kernel_flops_total",
+                    "modeled useful flops performed", labels=labels).inc(flops)
 
 
 def record_pipeline_run(
     pipeline, sim, world, metrics, makespan: float,
-    kernel_before: Optional[dict] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """Flush one completed pipeline run into the registry.
@@ -515,33 +543,6 @@ def record_pipeline_run(
                     f"steady-state {phase} seconds per CPI, per run",
                     labels=labels,
                 ).observe(value)
-
-    # STAP kernels (reusing repro.perf.kernels timings when collection is on).
-    if kernel_before is not None:
-        record_kernel_delta(kernel_before, kernel_stats_snapshot(), registry=reg)
-
-
-def record_kernel_delta(before: dict, after: dict,
-                        registry: Optional[MetricsRegistry] = None) -> None:
-    """Record per-kernel call/seconds/flops growth between two
-    :func:`kernel_stats_snapshot` readings."""
-    reg = metrics_registry if registry is None else registry
-    if not reg.enabled:
-        return
-    for kernel, (calls, seconds, flops) in after.items():
-        b_calls, b_seconds, b_flops = before.get(kernel, (0, 0.0, 0.0))
-        if calls == b_calls:
-            continue
-        labels = {"kernel": kernel}
-        reg.counter("stap_kernel_calls_total",
-                    "instrumented kernel invocations", labels=labels).inc(
-            calls - b_calls)
-        reg.counter("stap_kernel_seconds_total",
-                    "host seconds inside instrumented kernels",
-                    labels=labels).inc(seconds - b_seconds)
-        reg.counter("stap_kernel_flops_total",
-                    "modeled useful flops performed", labels=labels).inc(
-            flops - b_flops)
 
 
 # -- export ------------------------------------------------------------------------

@@ -8,7 +8,9 @@ honest.
 
 :mod:`repro.perf.kernels` adds the complementary *numerical* view:
 per-kernel host seconds and achieved flops/s of the batched STAP kernels
-against the paper's Table 1 operation counts.
+against the paper's Table 1 operation counts, read from the
+``stap_kernel_*`` series of the metrics registry
+(:mod:`repro.obs.metrics`), which is where every run counter is kept.
 
 Everything here is opt-in.  The underlying counters
 (:attr:`repro.des.Simulator.events_processed`,
@@ -18,28 +20,15 @@ only happen when a caller asks (``STAPPipeline(..., perf=True)``,
 ``repro-stap case --perf``, or :func:`profile_run`).
 """
 
-from repro.perf.counters import (
-    ExecCounters,
-    PerfReport,
-    exec_counters,
-    snapshot_counters,
-)
-from repro.perf.kernels import (
-    KernelCounters,
-    KernelStats,
-    achieved_vs_table1,
-    kernel_counters,
-)
+from repro.perf.counters import PerfReport, snapshot_counters
+from repro.perf.kernels import achieved_vs_table1, kernel_stats, kernel_summary
 from repro.perf.profiling import profile_run
 
 __all__ = [
-    "ExecCounters",
     "PerfReport",
-    "exec_counters",
     "snapshot_counters",
-    "KernelCounters",
-    "KernelStats",
     "achieved_vs_table1",
-    "kernel_counters",
+    "kernel_stats",
+    "kernel_summary",
     "profile_run",
 ]

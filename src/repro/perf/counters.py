@@ -2,93 +2,18 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
-from typing import Optional
-
-
-@dataclass
-class ExecCounters:
-    """Process-wide counters for the batch executor and result cache.
-
-    Plain integer counters, always on (like the simulator's own
-    counters); :mod:`repro.exec` maintains them as work flows through the
-    executor and cache so tests and reports can verify, for example, that
-    a repeated sweep performed *zero* new simulations.  Parallel workers
-    report through their outcomes, so the parent's counters stay coherent
-    regardless of ``jobs``.
-
-    Mutation goes through :meth:`inc`, which serializes under a lock:
-    the executor's ``note()`` runs from completion callbacks, and those
-    may fire on helper threads, where a bare ``+=`` read-modify-write can
-    drop increments.  Reads stay plain attribute access (a torn read of
-    an int is impossible under CPython).
-    """
-
-    #: Points handed to :func:`repro.exec.run_points` (cached or not).
-    points_submitted: int = 0
-    #: Full pipeline simulations actually executed (cache misses).
-    simulations_run: int = 0
-    #: Points whose simulation raised (captured, not propagated).
-    point_errors: int = 0
-    #: Progress callbacks that raised (contained, not propagated).
-    progress_errors: int = 0
-    #: Result-cache hits served from the in-process LRU layer.
-    cache_hits_memory: int = 0
-    #: Result-cache hits served from the on-disk store.
-    cache_hits_disk: int = 0
-    #: Result-cache lookups that found nothing.
-    cache_misses: int = 0
-    #: Results written into the cache.
-    cache_stores: int = 0
-    #: On-disk entries that existed but failed to load (treated as misses).
-    cache_corrupt: int = 0
-    #: ``run_measured`` probe phases answered from the result cache.
-    probe_cache_hits: int = 0
-
-    def __post_init__(self):
-        # Not a dataclass field: locks must stay out of snapshots/compares.
-        self._lock = threading.Lock()
-        self._names = tuple(f.name for f in fields(self))
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Thread-safely add ``amount`` to the named counter."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    def snapshot(self) -> dict:
-        """Copy of the current values (for before/after deltas)."""
-        with self._lock:
-            return {name: getattr(self, name) for name in self._names}
-
-    def delta_since(self, before: dict) -> dict:
-        """Per-counter increase since a :meth:`snapshot`."""
-        now = self.snapshot()
-        return {key: now[key] - before.get(key, 0) for key in now}
-
-    def reset(self) -> None:
-        with self._lock:
-            for name in self._names:
-                setattr(self, name, 0)
-
-
-#: The module singleton the executor and cache increment.
-exec_counters = ExecCounters()
-
-
-#: Snapshot keys that identify the run rather than count it; they ride
-#: along in snapshots but are carried through (not differenced) by
-#: :meth:`PerfReport.from_snapshots`.
-_META_KEYS = ("backend", "transfer_path", "plan_build_seconds")
 
 
 def snapshot_counters(sim, world=None) -> dict:
     """Raw counter values of a simulator (and optionally its MPI world).
 
-    Taken before and after a run, the difference is what the run cost.
-    Besides counters, the snapshot records which simulator backend ran,
-    which transfer path its network took (``lowered`` slot records or the
-    ``reference`` callback chain; empty without a world), and how long its
+    The simulator and world are fresh per run and count from zero, so one
+    reading after the run is what the run cost; its keys are
+    :class:`PerfReport` fields.  Besides counters, the snapshot records
+    which simulator backend ran, which transfer path its network took
+    (``lowered`` slot records or the ``reference`` callback chain; empty
+    without a world), and how long its
     :class:`~repro.des.backends.plan.EnginePlan` took to build (zero for
     the reference engine, which lowers nothing).
     """
@@ -175,39 +100,6 @@ class PerfReport:
         return self.wall_seconds / self.num_cpis if self.num_cpis else 0.0
 
     # -- construction -----------------------------------------------------------
-    @classmethod
-    def from_snapshots(
-        cls,
-        before: dict,
-        after: dict,
-        wall_seconds: float,
-        sim_seconds: float,
-        num_cpis: int,
-        label: str = "",
-    ) -> "PerfReport":
-        """Build a report from :func:`snapshot_counters` pairs."""
-        delta = {
-            key: after[key] - before[key]
-            for key in before
-            if key not in _META_KEYS
-        }
-        return cls(
-            wall_seconds=wall_seconds,
-            sim_seconds=sim_seconds,
-            num_cpis=num_cpis,
-            label=label,
-            backend=str(after.get("backend", before.get("backend", ""))),
-            transfer_path=str(
-                after.get("transfer_path", before.get("transfer_path", ""))
-            ),
-            plan_build_seconds=float(
-                after.get(
-                    "plan_build_seconds", before.get("plan_build_seconds", 0.0)
-                )
-            ),
-            **delta,
-        )
-
     #: ``to_dict`` keys computed from other fields; ``from_dict`` drops
     #: them rather than storing stale copies.
     _DERIVED_KEYS = ("events_per_second", "probes_per_message", "wall_seconds_per_cpi")

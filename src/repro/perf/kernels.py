@@ -1,21 +1,19 @@
-"""Per-kernel wall-time and achieved-flops counters for the STAP kernels.
+"""Per-kernel host seconds and achieved flops of the STAP kernels.
 
 Complements :mod:`repro.perf.counters` (which measures the *simulator*):
-this module measures the *numerical kernels themselves* — how many host
-seconds each batched NumPy kernel spends per run, and what fraction of the
-paper's analytic operation counts (Table 1, :mod:`repro.stap.flops`) it
-sustains.  The before/after evidence for the batched-kernel work lives in
-``benchmarks/bench_kernels.py``, which drives these counters.
+this module reads how many host seconds each batched NumPy kernel spent
+and what fraction of the paper's analytic operation counts (Table 1,
+:mod:`repro.stap.flops`) it sustained.  The kernels record into the
+metrics registry (:func:`repro.obs.metrics.record_kernel`, the
+``stap_kernel_{calls,seconds,flops}_total{kernel=...}`` series) while it
+is enabled; this module only reads a snapshot of it::
 
-Collection is opt-in and off by default: every instrumented kernel pays
-one attribute check (``if not counters.enabled``) when disabled, so the
-functional hot path stays clean.  Enable around a region of interest::
+    from repro.obs.metrics import metrics_registry
+    from repro.perf.kernels import kernel_summary
 
-    from repro.perf import kernel_counters
-
-    with kernel_counters.collect():
+    with metrics_registry.collect():
         SequentialSTAP(params).process_stream(stream.take(8))
-    print(kernel_counters.summary())
+    print(kernel_summary(metrics_registry.snapshot()))
 
 The kernel names match the pipeline task kernels (``doppler``,
 ``easy_weight``, ``hard_weight``, ``easy_beamform``, ``hard_beamform``,
@@ -25,182 +23,92 @@ row-for-row with Table 1.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
-from time import perf_counter
-from typing import Dict, Optional
+from typing import Optional
+
+from repro.obs.metrics import MetricsSnapshot, metrics_registry
+
+#: Pipeline-task order of the instrumented kernels.
+KERNEL_ORDER = (
+    "doppler",
+    "easy_weight",
+    "hard_weight",
+    "easy_beamform",
+    "hard_beamform",
+    "pulse_compression",
+    "cfar",
+)
 
 
-@dataclass
-class KernelStats:
-    """Accumulated cost of one kernel: calls, host seconds, modeled flops.
-
-    ``flops`` uses the analytic per-task counts of :mod:`repro.stap.flops`
-    scaled by each call's share of the cube (the instrumented kernels know
-    their block sizes) — i.e. *useful* operations, so ``flops_per_second``
-    is achieved throughput against the paper's own accounting, not a count
-    of machine instructions.
-    """
-
-    calls: int = 0
-    seconds: float = 0.0
-    flops: float = 0.0
-
-    @property
-    def flops_per_second(self) -> float:
-        """Achieved throughput in modeled flops per host second."""
-        return self.flops / self.seconds if self.seconds > 0.0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "seconds": self.seconds,
-            "flops": self.flops,
-            "flops_per_second": self.flops_per_second,
+def kernel_stats(snapshot: Optional[MetricsSnapshot] = None) -> dict:
+    """``{kernel: {calls, seconds, flops, flops_per_second}}`` of a snapshot
+    (default: the live registry's), kernels in pipeline-task order."""
+    if snapshot is None:
+        snapshot = metrics_registry.snapshot()
+    recorded = {
+        entry["labels"]["kernel"]
+        for entry in snapshot.data["counters"].values()
+        if entry["name"] == "stap_kernel_calls_total"
+    }
+    names = [k for k in KERNEL_ORDER if k in recorded]
+    names += sorted(recorded.difference(KERNEL_ORDER))
+    stats = {}
+    for name in names:
+        labels = {"kernel": name}
+        seconds = snapshot.value("stap_kernel_seconds_total", labels)
+        flops = snapshot.value("stap_kernel_flops_total", labels)
+        stats[name] = {
+            "calls": int(snapshot.value("stap_kernel_calls_total", labels)),
+            "seconds": seconds,
+            "flops": flops,
+            "flops_per_second": flops / seconds if seconds > 0.0 else 0.0,
         }
+    return stats
 
 
-class KernelCounters:
-    """Registry of :class:`KernelStats`, keyed by kernel name.
-
-    A module singleton (:data:`kernel_counters`) is shared by all
-    instrumented kernels; :meth:`timed` is the single hot-path entry
-    point.  Each kernel records exactly once per call, from the thread
-    that called it, after any split across kernel threads
-    (:mod:`repro.stap.threads`) has finished — so a split call is one
-    entry whose seconds are the wall time of the whole call.  Kernels may
-    be called from several threads at once (the sequential reference runs
-    its detection and weight branches side by side), so recording is
-    locked; calls, flops and the per-kernel seconds do not depend on the
-    overlap, but the seconds of overlapping kernels sum to more than the
-    region's wall time.
-    """
-
-    def __init__(self) -> None:
-        self.enabled: bool = False
-        self._stats: Dict[str, KernelStats] = {}
-        self._lock = threading.Lock()
-
-    # -- lifecycle ----------------------------------------------------------------
-    def enable(self, reset: bool = True) -> None:
-        if reset:
-            self.reset()
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self._stats.clear()
-
-    @contextmanager
-    def collect(self, reset: bool = True):
-        """Enable collection for a ``with`` block; restores the prior state."""
-        was_enabled = self.enabled
-        self.enable(reset=reset)
-        try:
-            yield self
-        finally:
-            self.enabled = was_enabled
-
-    # -- recording ----------------------------------------------------------------
-    @contextmanager
-    def timed(self, kernel: str, flops: float = 0.0):
-        """Time a kernel invocation and credit it with ``flops`` operations.
-
-        When disabled this is a no-op beyond the generator machinery; the
-        instrumented kernels guard even that with ``if counters.enabled``
-        so the disabled cost is one attribute check.
-        """
-        if not self.enabled:
-            yield
-            return
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.record(kernel, perf_counter() - start, flops)
-
-    def record(self, kernel: str, seconds: float, flops: float = 0.0) -> None:
-        """Credit one call directly (for callers that time themselves)."""
-        with self._lock:
-            stats = self._stats.get(kernel)
-            if stats is None:
-                stats = self._stats[kernel] = KernelStats()
-            stats.calls += 1
-            stats.seconds += seconds
-            stats.flops += flops
-
-    # -- output -------------------------------------------------------------------
-    def stats(self) -> Dict[str, KernelStats]:
-        """Live view of the accumulated per-kernel statistics."""
-        return self._stats
-
-    def to_dict(self) -> dict:
-        """JSON-serializable per-kernel ``{calls, seconds, flops, flops/s}``."""
-        return {name: stats.to_dict() for name, stats in sorted(self._stats.items())}
-
-    def summary(self, title: str = "kernel counters") -> str:
-        """Printable per-kernel table, pipeline-task order first."""
-        order = [
-            "doppler",
-            "easy_weight",
-            "hard_weight",
-            "easy_beamform",
-            "hard_beamform",
-            "pulse_compression",
-            "cfar",
-        ]
-        names = [k for k in order if k in self._stats]
-        names += [k for k in sorted(self._stats) if k not in order]
-        lines = [
-            f"--- {title}",
-            f"{'kernel':<20} {'calls':>7} {'seconds':>10} {'Mflops/s':>10}",
-        ]
-        total = KernelStats()
-        for name in names:
-            stats = self._stats[name]
-            total.calls += stats.calls
-            total.seconds += stats.seconds
-            total.flops += stats.flops
-            lines.append(
-                f"{name:<20} {stats.calls:>7d} {stats.seconds:>10.4f}"
-                f" {stats.flops_per_second / 1e6:>10.1f}"
-            )
+def kernel_summary(snapshot: Optional[MetricsSnapshot] = None,
+                   title: str = "kernel counters") -> str:
+    """Printable per-kernel table, pipeline-task order first."""
+    lines = [
+        f"--- {title}",
+        f"{'kernel':<20} {'calls':>7} {'seconds':>10} {'Mflops/s':>10}",
+    ]
+    calls = seconds = flops = 0.0
+    for name, row in kernel_stats(snapshot).items():
+        calls += row["calls"]
+        seconds += row["seconds"]
+        flops += row["flops"]
         lines.append(
-            f"{'total':<20} {total.calls:>7d} {total.seconds:>10.4f}"
-            f" {total.flops_per_second / 1e6:>10.1f}"
+            f"{name:<20} {row['calls']:>7d} {row['seconds']:>10.4f}"
+            f" {row['flops_per_second'] / 1e6:>10.1f}"
         )
-        return "\n".join(lines)
-
-
-#: The module singleton the instrumented STAP kernels report into.
-kernel_counters = KernelCounters()
+    rate = flops / seconds if seconds > 0.0 else 0.0
+    lines.append(
+        f"{'total':<20} {int(calls):>7d} {seconds:>10.4f} {rate / 1e6:>10.1f}"
+    )
+    return "\n".join(lines)
 
 
 def achieved_vs_table1(
-    counters: Optional[KernelCounters] = None,
+    snapshot: Optional[MetricsSnapshot] = None,
     num_cpis: int = 1,
 ) -> dict:
     """Per-kernel achieved flops/s against the paper's Table 1 counts.
 
-    Returns ``{kernel: {seconds, flops, flops_per_second, paper_flops_per_cpi,
-    paper_fraction}}`` where ``paper_fraction`` is the measured modeled
-    flops divided by ``num_cpis`` times the Table 1 entry — 1.0 means the
-    run performed exactly the paper's per-CPI operation count for that
-    kernel (partial cubes and cold-start CPIs push it below 1).
+    Returns ``{kernel: {calls, seconds, flops, flops_per_second,
+    paper_flops_per_cpi, paper_fraction}}`` where ``paper_fraction`` is the
+    measured modeled flops divided by ``num_cpis`` times the Table 1 entry
+    — 1.0 means the run performed exactly the paper's per-CPI operation
+    count for that kernel (partial cubes and cold-start CPIs push it
+    below 1).  ``snapshot`` defaults to the live registry's.
     """
     from repro.stap.flops import PAPER_TABLE1
 
-    counters = kernel_counters if counters is None else counters
     comparison = {}
-    for name, stats in counters.stats().items():
+    for name, entry in kernel_stats(snapshot).items():
         paper = PAPER_TABLE1.get(name)
-        entry = stats.to_dict()
         entry["paper_flops_per_cpi"] = paper
         entry["paper_fraction"] = (
-            stats.flops / (paper * num_cpis) if paper and num_cpis else None
+            entry["flops"] / (paper * num_cpis) if paper and num_cpis else None
         )
         comparison[name] = entry
     return comparison

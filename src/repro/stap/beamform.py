@@ -18,7 +18,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 
 
@@ -49,13 +49,13 @@ def beamform_easy(
     expected_w = (dop_easy.shape[0], J, M)
     if weights.shape != expected_w:
         raise ConfigurationError(f"easy weights shape {weights.shape} != {expected_w}")
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     out = np.einsum("njm,njk->nmk", np.conj(weights), dop_easy, optimize=True)
     if start is not None:
         from repro.stap.flops import easy_beamform_flops
 
         share = dop_easy.shape[0] / params.num_easy_doppler
-        kernel_counters.record(
+        record_kernel(
             "easy_beamform",
             perf_counter() - start,
             easy_beamform_flops(params) * share,
@@ -90,7 +90,7 @@ def beamform_hard(
     expected_w = (params.num_segments, num_bins, n2, params.num_beams)
     if weights.shape != expected_w:
         raise ConfigurationError(f"hard weights shape {weights.shape} != {expected_w}")
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     out = np.empty((num_bins, params.num_beams, K), dtype=complex)
     for seg_idx, seg in enumerate(params.segment_slices):
         out[:, :, seg] = np.einsum(
@@ -103,7 +103,7 @@ def beamform_hard(
         from repro.stap.flops import hard_beamform_flops
 
         share = num_bins / params.num_hard_doppler
-        kernel_counters.record(
+        record_kernel(
             "hard_beamform",
             perf_counter() - start,
             hard_beamform_flops(params) * share,

@@ -21,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 
 
@@ -137,7 +137,7 @@ def cfar_detect(
         raise ConfigurationError("pass either a pfa override or a factor, not both")
     elif factor.shape != (K,):
         raise ConfigurationError(f"factor length {factor.shape} != ({K},)")
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     sums = _window_sums(np.asarray(power, dtype=np.float64), params)
     thresholds = factor[None, None, :] * sums
     mask = power > thresholds
@@ -164,7 +164,7 @@ def cfar_detect(
         from repro.stap.flops import cfar_flops
 
         share = power.shape[0] / params.num_doppler
-        kernel_counters.record(
+        record_kernel(
             "cfar", perf_counter() - start, cfar_flops(params) * share
         )
     return detections

@@ -24,7 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.datacube import CPIDataCube
 from repro.radar.parameters import STAPParams
 from repro.radar.windows import window_by_name
@@ -160,7 +160,7 @@ def doppler_filter_block(
             f"window length {window.shape} != ({win_len},)"
         )
 
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     num_cells = data.shape[0]
     out = np.empty((N, 2 * J, num_cells), dtype=np.complex128)
 
@@ -172,7 +172,7 @@ def doppler_filter_block(
         from repro.stap.flops import doppler_flops
 
         share = num_cells / params.num_ranges
-        kernel_counters.record(
+        record_kernel(
             "doppler", perf_counter() - start, doppler_flops(params) * share
         )
     return out

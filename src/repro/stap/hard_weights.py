@@ -21,7 +21,7 @@ from typing import Dict
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 from repro.stap.easy_weights import select_range_samples
 from repro.stap.lsq import (
@@ -89,7 +89,7 @@ def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> No
     unit's factorization is independent of its batch, so the result is
     the same for any split.
     """
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
 
     def update(lo: int, hi: int) -> None:
         state[lo:hi] = qr_append_rows_stacked(
@@ -105,7 +105,7 @@ def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> No
         # here so update + solve sum to the paper's per-unit count.
         num_units, rows, n2 = training.shape
         flops = num_units * qr_flops(n2 + rows + n2 // 2, n2)
-        kernel_counters.record("hard_weight", perf_counter() - start, flops)
+        record_kernel("hard_weight", perf_counter() - start, flops)
 
 
 def hard_constraint_blocks(
@@ -154,7 +154,7 @@ def compute_hard_weights_units(
     threads like :func:`update_r_units`; bit identical to the per-unit
     loop (see :func:`compute_hard_weights_loop`) for any split.
     """
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     constraints = hard_constraint_blocks(state, phases, beam_weight, freq_weight)
     weights = np.empty((state.shape[0], state.shape[1], steering.shape[1]),
                        dtype=complex)
@@ -170,7 +170,7 @@ def compute_hard_weights_units(
         # share is credited to update_r_units (see comment there).
         num_units, n2 = state.shape[0], state.shape[1]
         flops = num_units * steering.shape[1] * 3.0 * n2 * n2
-        kernel_counters.record("hard_weight", perf_counter() - start, flops)
+        record_kernel("hard_weight", perf_counter() - start, flops)
     return weights
 
 

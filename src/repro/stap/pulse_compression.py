@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 from repro.radar.waveform import lfm_chirp, matched_filter_frequency_response
 
@@ -81,7 +81,7 @@ def pulse_compress_block(
         raise ConfigurationError(
             f"replica response length {replica_freq.shape} != ({K},)"
         )
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     spectrum = np.fft.fft(beamformed, axis=2)
     spectrum *= replica_freq[None, None, :]
     compressed = np.fft.ifft(spectrum, axis=2)
@@ -94,7 +94,7 @@ def pulse_compress_block(
         from repro.stap.flops import pulse_compression_flops
 
         share = beamformed.shape[0] / params.num_doppler
-        kernel_counters.record(
+        record_kernel(
             "pulse_compression",
             perf_counter() - start,
             pulse_compression_flops(params) * share,

@@ -13,7 +13,7 @@ from repro.exec import (
     execute_point,
     point_fingerprint,
 )
-from repro.perf import exec_counters
+from tests.exec.counting import counting
 
 pytestmark = pytest.mark.exec
 
@@ -100,9 +100,8 @@ class TestMemoryLayer:
             execute_point(tiny_point(num_cpis=cpis), cache=cache)
         assert len(cache) == 2
         # Oldest entry (5 CPIs) was evicted: fetching it simulates again.
-        before = exec_counters.snapshot()
-        execute_point(tiny_point(num_cpis=5), cache=cache)
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            execute_point(tiny_point(num_cpis=5), cache=cache)
         assert delta["simulations_run"] == 1
         assert delta["cache_misses"] == 1
 
@@ -114,9 +113,8 @@ class TestDiskLayer:
         first = execute_point(point, cache=ResultCache(directory=disk))
         assert list(disk.glob("*.pkl")), "disk entry not written"
         # A fresh cache instance (empty memory layer) hits the disk store.
-        before = exec_counters.snapshot()
-        second = execute_point(point, cache=ResultCache(directory=disk))
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            second = execute_point(point, cache=ResultCache(directory=disk))
         assert delta["simulations_run"] == 0
         assert delta["cache_hits_disk"] == 1
         assert pickle.dumps(second.metrics) == pickle.dumps(first.metrics)
@@ -127,8 +125,7 @@ class TestDiskLayer:
         execute_point(point, cache=ResultCache(directory=disk))
         for entry in disk.glob("*.pkl"):
             entry.write_bytes(b"not a pickle")
-        before = exec_counters.snapshot()
-        result = execute_point(point, cache=ResultCache(directory=disk))
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            result = execute_point(point, cache=ResultCache(directory=disk))
         assert delta["simulations_run"] == 1
         assert result.metrics.measured_latency > 0

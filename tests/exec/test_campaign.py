@@ -20,7 +20,7 @@ from repro.exec import (
     run_points,
 )
 from repro.exec.campaign import MANIFEST_NAME, RESULTS_DIR
-from repro.perf import exec_counters
+from tests.exec.counting import counting
 
 pytestmark = pytest.mark.exec
 
@@ -208,9 +208,8 @@ class TestStaleEntriesAreCleanMisses:
         (results / "0123456789abcdef.pkl").write_bytes(b"\x80\x05garbage")
         # Existence says complete, but the corrupt load degrades to a
         # miss at pull time and the simulation reruns.
-        before = exec_counters.snapshot()
-        outcomes = Campaign([point], store=store).run()
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            outcomes = Campaign([point], store=store).run()
         assert outcomes[0].ok and not outcomes[0].cached
         assert delta["simulations_run"] == 1
         assert delta["cache_corrupt"] >= 1
@@ -235,10 +234,9 @@ class TestCampaignQueue:
         points = tiny_points()
         campaign = Campaign(points, store=CampaignStore(tmp_path))
         campaign.run(limit=1)
-        before = exec_counters.snapshot()
         # Complete points are still served; only one new simulation runs.
-        outcomes = campaign.run(limit=1)
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            outcomes = campaign.run(limit=1)
         assert len(outcomes) == 2
         assert delta["simulations_run"] == 1
         assert delta["cache_hits_memory"] + delta["cache_hits_disk"] == 1
@@ -253,9 +251,8 @@ class TestCampaignQueue:
         # A fresh process would rebuild everything from the directory:
         resumed = load_campaign(tmp_path)
         assert resumed.points == points
-        before = exec_counters.snapshot()
-        outcomes = resumed.run()
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            outcomes = resumed.run()
         assert delta["simulations_run"] == 1
         assert delta["cache_hits_disk"] == 2
         assert [pickle.dumps(o.result.metrics) for o in outcomes] == [
@@ -266,9 +263,8 @@ class TestCampaignQueue:
         """Two processes sharing a directory share completions."""
         points = tiny_points()
         Campaign(points, store=CampaignStore(tmp_path)).run()
-        before = exec_counters.snapshot()
-        outcomes = Campaign(points, store=CampaignStore(tmp_path)).run()
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            outcomes = Campaign(points, store=CampaignStore(tmp_path)).run()
         assert all(o.cached for o in outcomes)
         assert delta["simulations_run"] == 0
 
@@ -300,9 +296,9 @@ class TestCampaignProgress:
 
     def test_progress_probe_is_counter_neutral(self, tmp_path):
         Campaign(tiny_points(), store=CampaignStore(tmp_path)).run()
-        before = exec_counters.snapshot()
-        CampaignStore(tmp_path).progress()
-        assert not any(exec_counters.delta_since(before).values())
+        with counting() as delta:
+            CampaignStore(tmp_path).progress()
+        assert not any(delta.values())
 
     def test_skip_loading_results(self, tmp_path):
         Campaign(tiny_points(), store=CampaignStore(tmp_path)).run()
@@ -321,11 +317,10 @@ class TestSweepCampaigns:
             "cfar", (4, 8), campaign_dir=tmp_path, **sweep
         )
         assert first == serial
-        before = exec_counters.snapshot()
-        resumed = speedup_series(
-            "cfar", (4, 8), campaign_dir=tmp_path, **sweep
-        )
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            resumed = speedup_series(
+                "cfar", (4, 8), campaign_dir=tmp_path, **sweep
+            )
         assert resumed == serial
         assert delta["simulations_run"] == 0
         progress = CampaignStore(tmp_path).progress(load_results=False)

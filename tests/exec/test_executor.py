@@ -12,7 +12,7 @@ from repro.exec import (
     execute_point,
     run_points,
 )
-from repro.perf import exec_counters
+from tests.exec.counting import counting
 
 pytestmark = pytest.mark.exec
 
@@ -81,19 +81,17 @@ class TestProgressAndCounters:
     def test_counters_account_for_every_point(self):
         cache = ResultCache()
         points = [tiny_point(num_cpis=c) for c in (5, 6)]
-        before = exec_counters.snapshot()
-        run_points(points, jobs=1, cache=cache)
-        run_points(points, jobs=1, cache=cache)
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            run_points(points, jobs=1, cache=cache)
+            run_points(points, jobs=1, cache=cache)
         assert delta["points_submitted"] == 4
         assert delta["simulations_run"] == 2
         assert delta["cache_hits_memory"] == 2
         assert delta["cache_stores"] == 2
 
     def test_no_cache_means_every_point_simulates(self):
-        before = exec_counters.snapshot()
-        run_points([tiny_point(), tiny_point()], jobs=1, cache=None)
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            run_points([tiny_point(), tiny_point()], jobs=1, cache=None)
         assert delta["simulations_run"] == 2
         assert delta["cache_misses"] == 0
 
@@ -107,12 +105,11 @@ class TestProgressEdgeCases:
             calls.append(done)
             raise RuntimeError("dashboard exploded")
 
-        before = exec_counters.snapshot()
-        outcomes = run_points(
-            [tiny_point(num_cpis=5), tiny_point(num_cpis=6)],
-            jobs=1, cache=None, progress=bad_progress,
-        )
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            outcomes = run_points(
+                [tiny_point(num_cpis=5), tiny_point(num_cpis=6)],
+                jobs=1, cache=None, progress=bad_progress,
+            )
         assert all(o.ok for o in outcomes)
         assert calls == [1, 2]  # still called for every point
         assert delta["progress_errors"] == 2
@@ -172,9 +169,8 @@ class TestParallelIdentity:
         cache = ResultCache()
         points = [tiny_point(num_cpis=c) for c in (5, 6, 7)]
         run_points(points, jobs=2, cache=cache)
-        before = exec_counters.snapshot()
-        outcomes = run_points(points, jobs=2, cache=cache)
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            outcomes = run_points(points, jobs=2, cache=cache)
         assert all(o.cached for o in outcomes)
         assert delta["simulations_run"] == 0
         assert delta["cache_hits_memory"] == 3

@@ -18,7 +18,7 @@ import pytest
 from repro import CASE3, STAPParams
 from repro.exec import ResultCache, SimPoint, execute_point, run_points
 from repro.experiments import scalability_curve, speedup_series
-from repro.perf import exec_counters
+from tests.exec.counting import counting
 
 pytestmark = pytest.mark.exec
 
@@ -31,9 +31,8 @@ class TestSpeedupSeriesGolden:
         parallel = speedup_series("cfar", (4, 8), jobs=2, cache=cache, **sweep)
         assert parallel == serial  # frozen dataclasses: exact float equality
 
-        before = exec_counters.snapshot()
-        cached = speedup_series("cfar", (4, 8), jobs=2, cache=cache, **sweep)
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            cached = speedup_series("cfar", (4, 8), jobs=2, cache=cache, **sweep)
         assert cached == serial
         assert delta["simulations_run"] == 0, delta
         assert delta["cache_hits_memory"] == 2, delta
@@ -47,9 +46,8 @@ class TestScalabilityCurveGolden:
         parallel = scalability_curve((20, 30), jobs=2, cache=cache, **sweep)
         assert parallel == serial
 
-        before = exec_counters.snapshot()
-        cached = scalability_curve((20, 30), jobs=2, cache=cache, **sweep)
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            cached = scalability_curve((20, 30), jobs=2, cache=cache, **sweep)
         assert cached == serial
         assert delta["simulations_run"] == 0, delta
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Assignment, CPIStream, RadarScenario, STAPParams, STAPPipeline
 from repro.exec import ResultCache, set_default_cache
-from repro.perf import exec_counters
+from tests.exec.counting import counting
 
 pytestmark = pytest.mark.exec
 
@@ -25,15 +25,13 @@ def make_pipeline(**kwargs):
 
 class TestProbeCache:
     def test_identical_configs_probe_once(self, fresh_default_cache):
-        before = exec_counters.snapshot()
-        first = make_pipeline().run_measured()
-        mid = exec_counters.delta_since(before)
+        with counting() as mid:
+            first = make_pipeline().run_measured()
         assert mid["simulations_run"] == 1  # the probe itself
         assert mid["probe_cache_hits"] == 0
 
-        before = exec_counters.snapshot()
-        second = make_pipeline().run_measured()
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            second = make_pipeline().run_measured()
         assert delta["probe_cache_hits"] == 1
         assert delta["simulations_run"] == 0
         # Bit-identical results either way.
@@ -42,19 +40,18 @@ class TestProbeCache:
     def test_same_pipeline_object_reprobes_from_cache(self, fresh_default_cache):
         pipeline = make_pipeline()
         first = pipeline.run_measured()
-        before = exec_counters.snapshot()
-        second = pipeline.run_measured()
-        assert exec_counters.delta_since(before)["probe_cache_hits"] == 1
+        with counting() as delta:
+            second = pipeline.run_measured()
+        assert delta["probe_cache_hits"] == 1
         assert second.metrics == first.metrics
 
     def test_custom_steering_bypasses_cache(self, fresh_default_cache):
         from repro.stap.reference import default_steering
 
         steering = default_steering(TINY)
-        before = exec_counters.snapshot()
-        make_pipeline(steering=steering).run_measured()
-        make_pipeline(steering=steering).run_measured()
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            make_pipeline(steering=steering).run_measured()
+            make_pipeline(steering=steering).run_measured()
         assert delta["probe_cache_hits"] == 0
         assert delta["simulations_run"] == 0  # ran outside the exec layer
 
@@ -67,9 +64,8 @@ class TestProbeCache:
             stream=stream,
             num_cpis=5,
         )
-        before = exec_counters.snapshot()
-        result = pipeline.run_measured()
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            result = pipeline.run_measured()
         assert delta["probe_cache_hits"] == 0
         assert delta["simulations_run"] == 0
         assert len(result.reports) == 5
@@ -80,8 +76,29 @@ class TestProbeCache:
         from repro.exec import SimPoint, execute_point
 
         execute_point(SimPoint(TINY, Assignment(*COUNTS, name="x"), num_cpis=6))
-        before = exec_counters.snapshot()
-        make_pipeline().run_measured()
-        delta = exec_counters.delta_since(before)
+        with counting() as delta:
+            make_pipeline().run_measured()
         assert delta["probe_cache_hits"] == 1
         assert delta["simulations_run"] == 0
+
+    def test_worker_probes_are_counted(self, fresh_default_cache):
+        """Measured points probe inside pool workers; their probe phases
+        reach the parent with the workers' snapshots, so every measured
+        point shows one probe and the CLI's "simulated" figure counts the
+        probes too."""
+        from repro.cli import _executor_counts
+        from repro.exec import SimPoint, run_points
+        from repro.obs.metrics import metrics_registry
+
+        points = [
+            SimPoint(TINY, Assignment(*COUNTS, name=f"m{c}"), num_cpis=c,
+                     measured=True)
+            for c in (5, 6)
+        ]
+        with counting() as delta:
+            outcomes = run_points(points, jobs=2, cache=ResultCache())
+            cli = _executor_counts(metrics_registry.snapshot())
+        assert all(o.ok and not o.cached for o in outcomes)
+        assert delta["probe_simulations"] + delta["probe_cache_hits"] == 2
+        assert delta["points_simulated"] == 2
+        assert cli["simulated"] == 4

@@ -4,7 +4,7 @@ The acceptance test for the durable store: a campaign process is killed
 hard (``os._exit``) partway through, a second process resumes against the
 same directory, and the merged results must be byte-identical to an
 uninterrupted serial run — with the already-published points served from
-the store (zero recomputation, asserted via :data:`exec_counters`).
+the store (zero recomputation, asserted on the metrics registry).
 """
 
 import os
@@ -17,7 +17,7 @@ import pytest
 
 from repro import Assignment, STAPParams
 from repro.exec import Campaign, CampaignStore, SimPoint, load_campaign, run_points
-from repro.perf import exec_counters
+from tests.exec.counting import counting
 
 pytestmark = pytest.mark.exec
 
@@ -80,9 +80,8 @@ def test_killed_campaign_resumes_byte_identical(tmp_path):
     # Resume in this process; published points must come from disk.
     resumed = load_campaign(tmp_path)
     assert resumed.points == campaign_points()
-    before = exec_counters.snapshot()
-    outcomes = resumed.run()
-    delta = exec_counters.delta_since(before)
+    with counting() as delta:
+        outcomes = resumed.run()
     assert delta["simulations_run"] == NUM_POINTS - progress.complete
     assert delta["cache_hits_disk"] == progress.complete
     assert all(o.ok for o in outcomes)
@@ -94,8 +93,7 @@ def test_killed_campaign_resumes_byte_identical(tmp_path):
     ]
 
     # A second resume performs zero work at all.
-    before = exec_counters.snapshot()
-    again = load_campaign(tmp_path).run()
-    delta = exec_counters.delta_since(before)
+    with counting() as delta:
+        again = load_campaign(tmp_path).run()
     assert delta["simulations_run"] == 0
     assert all(o.cached for o in again)

@@ -132,29 +132,31 @@ class TestPerfReport:
         assert report.probes_per_message == 0.0
         assert report.wall_seconds_per_cpi == 0.0
 
-    def test_from_snapshots_takes_deltas(self):
-        before = dict(
-            events_processed=100,
-            match_probes=5,
-            sends_posted=3,
-            recvs_posted=3,
-            network_messages=3,
-            network_bytes=300,
+    def test_report_from_one_reading(self):
+        """A run's simulator and world count from zero, so one snapshot
+        after the run is the report: every snapshot key is a field."""
+        sim = Simulator()
+        world = World(sim, afrl_paragon(), num_ranks=2, contention="none")
+
+        def sender(ctx):
+            yield ctx.isend(b"x", dest=1, tag=7, nbytes=64)
+
+        def receiver(ctx):
+            yield ctx.irecv(source=0, tag=7)
+
+        world.spawn(0, sender)
+        world.spawn(1, receiver)
+        sim.run()
+        report = PerfReport(
+            wall_seconds=1.0, sim_seconds=sim.now, num_cpis=2, label="x",
+            **snapshot_counters(sim, world),
         )
-        after = dict(
-            events_processed=250,
-            match_probes=9,
-            sends_posted=7,
-            recvs_posted=7,
-            network_messages=7,
-            network_bytes=900,
-        )
-        report = PerfReport.from_snapshots(
-            before, after, wall_seconds=1.0, sim_seconds=2.0, num_cpis=2, label="x"
-        )
-        assert report.events_processed == 150
-        assert report.match_probes == 4
-        assert report.network_bytes == 600
+        assert report.events_processed == sim.events_processed > 0
+        assert (report.sends_posted, report.recvs_posted) == (1, 1)
+        assert report.match_probes == world.match_probes
+        assert report.network_messages == world.network.messages_sent == 1
+        assert report.network_bytes == world.network.bytes_sent
+        assert (report.backend, report.transfer_path) == ("python", "reference")
         assert report.label == "x"
 
     def test_to_dict_and_summary(self):
@@ -237,42 +239,51 @@ class TestPerfReport:
         assert rebuilt.to_dict() == data
 
 
-class TestExecCounters:
+class TestExecMetrics:
+    """The executor and cache count into registry counters."""
+
     def test_inc_is_thread_safe(self):
         """Concurrent inc() calls must not drop increments."""
         import threading
 
-        from repro.perf.counters import ExecCounters
+        from repro.obs.metrics import MetricsRegistry
 
-        counters = ExecCounters()
+        registry = MetricsRegistry()
+        registry.enable()
+        counter = registry.counter(
+            "exec_points_total", labels={"status": "simulated"}
+        )
         per_thread, num_threads = 2000, 8
 
         def hammer():
             for _ in range(per_thread):
-                counters.inc("points_submitted")
+                counter.inc()
 
         threads = [threading.Thread(target=hammer) for _ in range(num_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert counters.points_submitted == per_thread * num_threads
+        assert counter.value == per_thread * num_threads
 
     def test_snapshot_reset_and_delta(self):
-        from repro.perf.counters import ExecCounters
+        from repro.obs.metrics import MetricsRegistry
 
-        counters = ExecCounters()
-        counters.inc("cache_corrupt", 3)
-        counters.inc("progress_errors")
-        snap = counters.snapshot()
-        assert snap["cache_corrupt"] == 3
-        assert snap["progress_errors"] == 1
-        # The lock is an implementation detail, not a counter.
-        assert "_lock" not in snap and "_names" not in snap
-        counters.inc("cache_corrupt", 2)
-        assert counters.delta_since(snap)["cache_corrupt"] == 2
-        counters.reset()
-        assert all(v == 0 for v in counters.snapshot().values())
+        registry = MetricsRegistry()
+        registry.enable()
+        registry.counter("exec_cache_corrupt_total").inc(3)
+        registry.counter("exec_progress_errors_total").inc()
+        snap = registry.snapshot()
+        assert snap.value("exec_cache_corrupt_total") == 3
+        assert snap.value("exec_progress_errors_total") == 1
+        registry.counter("exec_cache_corrupt_total").inc(2)
+        after = registry.snapshot()
+        assert (after.value("exec_cache_corrupt_total")
+                - snap.value("exec_cache_corrupt_total")) == 2
+        # A snapshot is frozen: later increments do not reach it.
+        assert snap.value("exec_cache_corrupt_total") == 3
+        registry.reset()
+        assert registry.snapshot().series() == []
 
 
 class TestPipelineWiring:

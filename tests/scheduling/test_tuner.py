@@ -8,13 +8,13 @@ from repro import STAPParams
 from repro.core.assignment import Assignment
 from repro.errors import AssignmentError, ConfigurationError
 from repro.machine import SpeedRegion, afrl_paragon
-from repro.perf import exec_counters
 from repro.scheduling import (
     AnalyticPipelineModel,
     TunerConfig,
     optimize_throughput,
     tune,
 )
+from tests.exec.counting import counting
 
 PARAMS = STAPParams.tiny()
 BUDGET = 12
@@ -62,14 +62,14 @@ class TestConfig:
 
 class TestAnalyticOnly:
     def test_prescreen_path_runs_no_simulations(self):
-        snap = exec_counters.snapshot()
-        result = tune(
-            PARAMS,
-            BUDGET,
-            machine=het_machine(),
-            config=TunerConfig(sim_candidates=0),
-        )
-        assert exec_counters.delta_since(snap)["simulations_run"] == 0
+        with counting() as delta:
+            result = tune(
+                PARAMS,
+                BUDGET,
+                machine=het_machine(),
+                config=TunerConfig(sim_candidates=0),
+            )
+        assert delta["simulations_run"] == 0
         assert result.analytic_only
         assert result.points_simulated == 0
         assert result.front.num_cpis == 0
@@ -173,9 +173,10 @@ class TestCampaignResume:
         cfg = TunerConfig(num_cpis=8, sim_candidates=4, sim_rounds=2)
         machine = het_machine()
         first = tune(PARAMS, BUDGET, machine=machine, config=cfg, campaign_dir=tmp_path)
-        snap = exec_counters.snapshot()
-        second = tune(PARAMS, BUDGET, machine=machine, config=cfg, campaign_dir=tmp_path)
-        delta = exec_counters.delta_since(snap)
+        with counting() as delta:
+            second = tune(
+                PARAMS, BUDGET, machine=machine, config=cfg, campaign_dir=tmp_path
+            )
         assert delta["simulations_run"] == 0
         assert delta["cache_misses"] == 0
         assert [p.counts for p in first.front.points] == [
@@ -192,14 +193,13 @@ class TestCampaignResume:
             config=TunerConfig(num_cpis=8, sim_candidates=4, sim_rounds=1),
             campaign_dir=tmp_path,
         )
-        snap = exec_counters.snapshot()
-        widened = tune(
-            PARAMS,
-            BUDGET,
-            machine=machine,
-            config=TunerConfig(num_cpis=8, sim_candidates=6, sim_rounds=1),
-            campaign_dir=tmp_path,
-        )
-        delta = exec_counters.delta_since(snap)
+        with counting() as delta:
+            widened = tune(
+                PARAMS,
+                BUDGET,
+                machine=machine,
+                config=TunerConfig(num_cpis=8, sim_candidates=6, sim_rounds=1),
+                campaign_dir=tmp_path,
+            )
         # The shared candidates come from the store; only the widening is new.
         assert 0 < delta["simulations_run"] < widened.points_simulated

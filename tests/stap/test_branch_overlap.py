@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from repro import CPIStream, SequentialSTAP, STAPParams
-from repro.perf import kernel_counters
+from repro.obs.metrics import metrics_registry
+from repro.perf import kernel_stats
 from repro.stap import reference, threads
 from repro.stap.hard_weights import HardWeightComputer
 from repro.stap.threads import run_beside, split_batch
@@ -253,8 +254,8 @@ class TestCountersUnderOverlap:
     @pytest.fixture(autouse=True)
     def restore_counters(self):
         yield
-        kernel_counters.disable()
-        kernel_counters.reset()
+        metrics_registry.disable()
+        metrics_registry.reset()
 
     def test_paper_scale_calls_and_flops_match_one_thread(self, monkeypatch):
         params = STAPParams.paper()
@@ -262,11 +263,11 @@ class TestCountersUnderOverlap:
         recorded = {}
         for budget in (1, 2):
             monkeypatch.setattr(threads, "_budget", budget)
-            with kernel_counters.collect():
+            with metrics_registry.collect():
                 SequentialSTAP(params).process_stream(cubes)
             recorded[budget] = {
-                name: (stats.calls, stats.flops)
-                for name, stats in kernel_counters.stats().items()
+                name: (stats["calls"], stats["flops"])
+                for name, stats in kernel_stats().items()
             }
         assert len(recorded[1]) == 7
         assert recorded[2] == recorded[1]

@@ -23,7 +23,8 @@ import pytest
 
 from repro import CASE1, CPIStream, ParallelSTAP, SequentialSTAP, STAPParams
 from repro.exec import SimPoint, run_points
-from repro.perf import kernel_counters
+from repro.obs.metrics import metrics_registry
+from repro.perf import kernel_stats
 from repro.radar.windows import window_by_name
 from repro.stap import doppler, hard_weights, threads
 from repro.stap.doppler import doppler_filter_block, range_correction_factors
@@ -262,29 +263,29 @@ class TestCountersUnderThreads:
     @pytest.fixture(autouse=True)
     def restore_counters(self):
         yield
-        kernel_counters.disable()
-        kernel_counters.reset()
+        metrics_registry.disable()
+        metrics_registry.reset()
 
     def test_split_doppler_records_one_entry(self):
         params = STAPParams.paper()
         data = random_cube(params, params.num_ranges)
-        with split_into(3), kernel_counters.collect():
+        with split_into(3), metrics_registry.collect():
             doppler_filter_block(data, params)
-        stats = kernel_counters.stats()["doppler"]
-        assert stats.calls == 1
-        assert stats.flops == doppler_flops(params)
-        assert stats.seconds > 0.0
+        stats = kernel_stats()["doppler"]
+        assert stats["calls"] == 1
+        assert stats["flops"] == doppler_flops(params)
+        assert stats["seconds"] > 0.0
 
     def test_split_hard_kernels_record_unchanged_flops(self):
         state, training, steering, phases = hard_problem(7)
         flops = {}
         for count in (1, 3):
-            with split_into(count), kernel_counters.collect():
+            with split_into(count), metrics_registry.collect():
                 update_r_units(state[0].copy(), training[0], 0.6)
                 compute_hard_weights_units(state[0], steering, phases, 1.5, 0.7)
-            stats = kernel_counters.stats()["hard_weight"]
-            assert stats.calls == 2
-            flops[count] = stats.flops
+            stats = kernel_stats()["hard_weight"]
+            assert stats["calls"] == 2
+            flops[count] = stats["flops"]
         assert flops[1] == flops[3]
 
 
