@@ -20,6 +20,7 @@ Also runnable as ``python -m repro.cli``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro import (
@@ -691,7 +692,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``, ``| grep -q``).  Point stdout
+        # at devnull so the interpreter's exit flush cannot raise again,
+        # and exit without a traceback (the idiom in Python's ``signal``
+        # docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from repro.core.assignment import Assignment
 from repro.core.metrics import PipelineMetrics, TaskMetrics, steady_state_slice
 from repro.core.pipeline import STAPPipeline
 from repro.core.task import Collector
-from repro.des import Simulator
 from repro.errors import ConfigurationError
 from repro.machine import Machine, afrl_paragon
 from repro.mpi import Communicator, World
@@ -93,13 +92,17 @@ class ReplicatedSTAPPipeline:
 
     def run(self) -> ReplicationResult:
         """Simulate all replicas concurrently; aggregate the measurements."""
+        from repro.des.backends import get_backend
+
         nodes = self.assignment.total_nodes
-        sim = Simulator()
+        engine = get_backend(None)
+        sim = engine.create_simulator()
         world = World(
             sim,
             self.machine,
             num_ranks=self.replicas * nodes,
             contention=self.contention,
+            backend=engine,
         )
         local_cpis = self.num_cpis // self.replicas
         collectors = []

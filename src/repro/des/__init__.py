@@ -17,14 +17,15 @@ Public surface:
   injection/ejection ports and mesh links).
 * :class:`Store` — FIFO buffer of Python objects with blocking get/put
   (used for MPI unexpected-message queues).
-* :class:`Tracer` — optional structured event log.
+
+Per-message and per-port tracing lives one layer up, in
+:class:`~repro.obs.TraceSink`.
 """
 
 from repro.des.event import Event, Timeout, AllOf, AnyOf, PENDING, TRIGGERED, PROCESSED
 from repro.des.process import Process
 from repro.des.engine import Simulator
 from repro.des.resource import Resource, Store
-from repro.des.monitor import Tracer, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -35,8 +36,6 @@ __all__ = [
     "Process",
     "Resource",
     "Store",
-    "Tracer",
-    "TraceRecord",
     "PENDING",
     "TRIGGERED",
     "PROCESSED",

@@ -8,6 +8,8 @@ Event — five heap entries and roughly a dozen object allocations per
 message.  The lowered backend replaces all of that with **one pooled slot
 record** per in-flight transfer that the event loop advances through an
 integer state machine, reading precomputed :class:`EnginePlan` tables.
+The loop in :meth:`LoweredSimulator._run_slots` is the only place a record
+changes stage; ``run()``, ``run(until=...)`` and ``step()`` all drive it.
 
 Schedule parity
 ---------------
@@ -23,37 +25,39 @@ reference event                       lowered slot state
 eject-port grant Event                record re-pushed at ``now`` (ACQ1)
 inject-port grant Event               record re-pushed at ``now`` (ACQ2)
 hold-time ``pooled_timeout``          record pushed at ``now+hold`` (RELEASE)
-``done.succeed()``                    ``done.succeed()`` (unchanged)
+``done.succeed()``                    record re-pushed at ``now`` (DELIVER)
 ====================================  =====================================
 
 A transfer that finds a port busy enqueues without consuming a sequence
 number, and is re-pushed by the releasing transfer — exactly when the
-reference ``Resource`` would have scheduled the grant.  Timestamps,
-event order, and every counter therefore match the reference bit for bit;
-the golden and hypothesis backend tests enforce this.
+reference ``Resource`` would have scheduled the grant.  At DELIVER the
+record calls the world's delivery function, the same one the reference
+done event's callback calls.  Timestamps, event order, and every counter
+therefore match the reference bit for bit; the golden and hypothesis
+backend tests enforce this.
 
-Tracing: with a :class:`~repro.obs.TraceSink` attached (``attach_trace``)
-the records also carry their two port request times and the hold start,
-and the releasing step reports each port's hold interval, bytes and
-contention wait — exactly what the reference path's resources would have
-seen.  Traced runs take the generic loop below instead of the inlined one;
-the schedule is the same.
+Tracing: every record stamps its two port request times and its hold
+start.  With a :class:`~repro.obs.TraceSink` attached (``attach_trace``)
+the release also reports each port's hold interval, bytes and contention
+wait — exactly what the reference path's resources would have seen.
+Traced and untraced runs take the same loop and the same schedule.
 
-Fallbacks: the LINKS contention mode and an engine-level tracer use the
-inherited reference transfer path (on the lowered engine the two paths
-schedule identically, so mixing modes across runs stays bit-identical).
-The network says which path ran in ``transfer_path``, which perf reports
-and the ``des_*`` metrics carry as a label.
+Fallback: the LINKS contention mode needs a hold per route link, which a
+slot record does not carry, so :class:`~repro.des.backends.LoweredBackend`
+gives it the reference :class:`~repro.machine.network.Network` (on the
+lowered engine the two paths schedule identically, so mixing modes across
+runs stays bit-identical).  The network says which path ran in
+``transfer_path``, which perf reports and the ``des_*`` metrics carry as a
+label.
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 
 from repro.des.engine import Simulator
-from repro.des.event import Event, PROCESSED
-from repro.errors import MachineError
+from repro.des.event import PROCESSED
+from repro.errors import ConfigurationError, MachineError, SimulationError
 from repro.machine.network import ContentionMode, Network
 from repro.des.backends.plan import EnginePlan
 
@@ -61,10 +65,10 @@ from repro.des.backends.plan import EnginePlan
 _START = 0  # acquire the ejection port (or branch to the delay path)
 _ACQ1 = 1  # ejection port held; acquire the injection port
 _ACQ2 = 2  # both ports held; serialize for the hold time
-_RELEASE = 3  # release ports, wake waiters, deliver
+_RELEASE = 3  # release ports, wake waiters, then deliver
 _DELAY = 4  # contention-free path: single analytic delay
 _DELAY_DONE = 5  # analytic delay elapsed; deliver
-_DELIVER = 6  # matched-transfer fast path: hand the message to the receiver
+_DELIVER = 6  # hand the message to the receiver
 
 #: Recycled slot records kept per network (matches the engine's timeout pool
 #: bound; in-flight transfers beyond this simply allocate).
@@ -75,18 +79,14 @@ class _Transfer:
     """One in-flight transfer: a pooled array-of-struct slot record.
 
     Instances are heap payloads; the loop recognizes them by exact class
-    and calls ``step`` instead of running Event callbacks.  ``name`` and
-    ``callbacks`` exist only so a defensively-attached tracer or diagnostic
-    does not crash on one.
+    and advances ``stage`` instead of running Event callbacks.
     """
 
     __slots__ = (
-        "step",
         "stage",
         "port1",
         "port2",
         "hold",
-        "done",
         "wait_since",
         "pending",
         "recv",
@@ -96,20 +96,13 @@ class _Transfer:
         "t_hold",
     )
 
-    name = "xfer[slot]"
-    callbacks = ()
-
-    def __init__(self, step):
-        self.step = step
+    def __init__(self):
         self.stage = _START
         self.port1 = 0
         self.port2 = 0
         self.hold = 0.0
-        self.done = None
         self.wait_since = 0.0
-        #: Matched-transfer fast path: the pending send and receive request
-        #: to deliver directly at the _DELIVER stage (None on the generic
-        #: Event-completion path).
+        #: The pending send and the receive request to deliver at _DELIVER.
         self.pending = None
         self.recv = None
         #: Trace stamps (read only when a sink is attached): message size,
@@ -121,80 +114,43 @@ class _Transfer:
 
 
 class LoweredSimulator(Simulator):
-    """Reference :class:`Simulator` with slotted-event dispatch."""
+    """Reference :class:`Simulator` with the transfer state machine inlined."""
 
     backend = "lowered"
-    #: Slot records may only be scheduled on engines that advertise this
-    #: (the reference loop would crash trying to run Event callbacks on one).
-    handles_slot_records = True
 
-    def __init__(self, trace: bool = False):
-        super().__init__(trace=trace)
-        #: Lowered networks bound to this engine.  With exactly one and no
-        #: trace sink, the fast loop inlines its transfer state machine;
-        #: otherwise records go through bound-method dispatch.
-        self._slot_networks: list = []
+    def __init__(self):
+        super().__init__()
+        #: The lowered network bound to this engine (at most one).  Without
+        #: one no slot record is ever scheduled and the reference loop runs.
+        self._slot_network = None
 
     def step(self) -> None:
-        if self._queue and self._queue[0][3].__class__ is _Transfer:
-            _time, _priority, _seq, record = heapq.heappop(self._queue)
-            self._now = _time
-            record.step(record)
-            self.events_processed += 1
+        net = self._slot_network
+        if net is None:
+            super().step()
             return
-        super().step()
+        if not self._queue:
+            raise SimulationError("step() on an empty event queue")
+        self._run_slots(net, None, None, True)
 
     def _run_fast(self, stop_event, stop_time) -> bool:
-        if (
-            stop_event is None
-            and stop_time is None
-            and len(self._slot_networks) == 1
-            and self._slot_networks[0].obs is None
-        ):
-            return self._run_inlined(self._slot_networks[0])
-        queue = self._queue
-        pool = self._timeout_pool
-        pop = heapq.heappop
-        processed = 0
-        no_stops = stop_event is None and stop_time is None
-        try:
-            while queue:
-                if not no_stops:
-                    if stop_event is not None and stop_event._state == PROCESSED:
-                        return True
-                    if stop_time is not None and queue[0][0] > stop_time:
-                        self._now = stop_time
-                        return False
-                time, _priority, _seq, event = pop(queue)
-                self._now = time
-                if event.__class__ is _Transfer:
-                    event.step(event)
-                    processed += 1
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = []
-                event._state = PROCESSED
-                for callback in callbacks:
-                    callback(event)
-                processed += 1
-                if event._ok is False and not event.defused:
-                    raise event._value
-                if event._pooled and len(pool) < 1024:
-                    pool.append(event)
-        finally:
-            self.events_processed += processed
-        return True
+        net = self._slot_network
+        if net is None:
+            return super()._run_fast(stop_event, stop_time)
+        return self._run_slots(net, stop_event, stop_time, False)
 
-    def _run_inlined(self, net: "LoweredNetwork") -> bool:
+    def _run_slots(self, net: "LoweredNetwork", stop_event, stop_time, once) -> bool:
         """Drain the queue with ``net``'s transfer state machine inlined.
 
         Record events are ~2/3 of a modeled run, so this loop keeps their
         whole lifecycle in local variables — port tables, record pool, the
         heap, and crucially the sequence counter.  ``self._seq`` is synced
         to the local counter before control leaves the loop (Event
-        callbacks, ``done.succeed()``, delivery) and reloaded after, so
-        externally-scheduled events still get exactly the sequence numbers
-        the reference engine would hand out.
+        callbacks, delivery) and reloaded after, so externally-scheduled
+        events still get exactly the sequence numbers the reference engine
+        would hand out.  The stop checks (``until``, and ``once`` for
+        ``step()``) sit behind one hoisted flag, as in the reference loop.
+        Returns False on a ``stop_time`` horizon stop.
         """
         queue = self._queue
         pool = self._timeout_pool
@@ -203,21 +159,38 @@ class LoweredSimulator(Simulator):
         push = heappush
         in_use = net._port_in_use
         waiter_tbl = net._port_waiters
-        grants = net._port_grants
         wait_time = net._port_wait_time
         record_pool = net._record_pool
         deliver = net._deliver
+        obs = net.obs
+        names = net._port_names
+        stopping = stop_event is not None or stop_time is not None or once
+        finished = True
         processed = 0
         seq = self._seq
         try:
             while queue:
+                if stopping:
+                    if stop_event is not None and stop_event._state == PROCESSED:
+                        break
+                    if stop_time is not None and queue[0][0] > stop_time:
+                        self._now = stop_time
+                        finished = False
+                        break
+                    if once and processed:
+                        break
                 time, _priority, _seq_, event = pop(queue)
                 self._now = time
                 if event.__class__ is transfer_cls:
                     processed += 1
                     stage = event.stage
                     if stage <= _ACQ1:  # _START or _ACQ1: acquire a port
-                        port = event.port1 if stage == _START else event.port2
+                        if stage == _START:
+                            port = event.port1
+                            event.t_req1 = time
+                        else:
+                            port = event.port2
+                            event.t_req2 = time
                         event.stage = stage + 1
                         if in_use[port]:
                             event.wait_since = time
@@ -227,36 +200,43 @@ class LoweredSimulator(Simulator):
                             waiters.append(event)
                         else:
                             in_use[port] = 1
-                            grants[port] += 1
                             seq += 1
                             push(queue, (time, 1, seq, event))
                     elif stage == _ACQ2:
+                        # Both ports held: serialize (header + occupancy).
                         event.stage = _RELEASE
+                        event.t_hold = time
                         seq += 1
                         push(queue, (time + event.hold, 1, seq, event))
                     elif stage == _RELEASE:
+                        # Release in reference order (injection, then
+                        # ejection); each release hands the port straight
+                        # to the oldest waiter.
                         for port in (event.port2, event.port1):
                             waiters = waiter_tbl[port]
                             if waiters:
                                 waiter = waiters.pop(0)
-                                grants[port] += 1
                                 wait_time[port] += time - waiter.wait_since
                                 seq += 1
                                 push(queue, (time, 1, seq, waiter))
                             else:
                                 in_use[port] = 0
-                        done = event.done
-                        if done is None:
-                            event.stage = _DELIVER
-                            seq += 1
-                            push(queue, (time, 1, seq, event))
-                        else:
-                            event.done = None
-                            if len(record_pool) < _RECORD_POOL_MAX:
-                                record_pool.append(event)
-                            self._seq = seq
-                            done.succeed()
-                            seq = self._seq
+                        if obs is not None:
+                            # Reference order: ejection port first.  The
+                            # ejection grant came exactly when the injection
+                            # port was requested.
+                            start, nbytes = event.t_hold, event.nbytes
+                            obs.record_link_hold(
+                                names[event.port1], start, time, nbytes,
+                                event.t_req2 - event.t_req1,
+                            )
+                            obs.record_link_hold(
+                                names[event.port2], start, time, nbytes,
+                                start - event.t_req2,
+                            )
+                        event.stage = _DELIVER
+                        seq += 1
+                        push(queue, (time, 1, seq, event))
                     elif stage == _DELIVER:
                         pending, recv = event.pending, event.recv
                         event.pending = event.recv = None
@@ -270,18 +250,9 @@ class LoweredSimulator(Simulator):
                         seq += 1
                         push(queue, (time + event.hold, 1, seq, event))
                     else:  # _DELAY_DONE
-                        done = event.done
-                        if done is None:
-                            event.stage = _DELIVER
-                            seq += 1
-                            push(queue, (time, 1, seq, event))
-                        else:
-                            event.done = None
-                            if len(record_pool) < _RECORD_POOL_MAX:
-                                record_pool.append(event)
-                            self._seq = seq
-                            done.succeed()
-                            seq = self._seq
+                        event.stage = _DELIVER
+                        seq += 1
+                        push(queue, (time, 1, seq, event))
                     continue
                 # Generic event: identical to the reference loop, with the
                 # sequence counter handed back for the callback window.
@@ -304,83 +275,49 @@ class LoweredSimulator(Simulator):
             self.events_processed += processed
             raise
         self.events_processed += processed
-        return True
-
-    def _run_traced(self, stop_event, stop_time) -> bool:
-        # A tracer-on run never sees slot records (the network lowers only
-        # tracerless runs), but handle them defensively so a tracer
-        # attached mid-run degrades to recorded slots, not a crash.
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
-                return True
-            if stop_time is not None and self._queue[0][0] > stop_time:
-                self._now = stop_time
-                return False
-            time, _priority, _seq, event = heapq.heappop(self._queue)
-            self._now = time
-            self.tracer.record(time, event)
-            if event.__class__ is _Transfer:
-                event.step(event)
-                self.events_processed += 1
-                continue
-            callbacks, event.callbacks = event.callbacks, []
-            event._state = PROCESSED
-            for callback in callbacks:
-                callback(event)
-            self.events_processed += 1
-            if event._ok is False and not event.defused:
-                raise event._value
-        return True
+        return finished
 
 
 class LoweredNetwork(Network):
     """Plan-driven network scheduler (NONE and ENDPOINT contention).
 
-    Transfers run as slot records off :class:`EnginePlan` tables, traced or
-    not; the LINKS mode and engine-tracer runs inherit the reference path.
+    Every transfer runs as a slot record off :class:`EnginePlan` tables,
+    traced or not.  It needs a :class:`LoweredSimulator` (the reference
+    loop cannot run a slot record), and one engine drives at most one
+    lowered network.
     """
 
-    def __init__(self, sim, mesh, cost_model=None, contention=ContentionMode.ENDPOINT,
-                 plan: EnginePlan | None = None):
-        super().__init__(sim, mesh, cost_model, contention=contention)
-        self.plan = plan
-        self._lowered_on = (
-            plan is not None
-            and self.contention in (ContentionMode.NONE, ContentionMode.ENDPOINT)
-            and sim.tracer is None
-            and getattr(sim, "handles_slot_records", False)
-        )
-        self.transfer_path = "lowered" if self._lowered_on else "reference"
-        #: Attached :class:`~repro.obs.TraceSink` (see ``attach_trace``).
-        self.obs = None
-        if self._lowered_on:
-            nports = plan.num_ports
-            #: Port state, struct-of-arrays: held flag, waiter FIFOs, and
-            #: the reference Resource's wait/grant accounting.
-            self._port_in_use = bytearray(nports)
-            self._port_waiters: list = [None] * nports
-            self._port_wait_time = [0.0] * nports
-            self._port_grants = [0] * nports
-            #: (src*N + dst) -> {nbytes -> precomputed total delay/hold}.
-            self._edge_memo: dict[int, dict] = {}
-            self._record_pool: list[_Transfer] = []
-            self._matched_fast = True
-            #: Delivery callable bound by :class:`~repro.mpi.communicator.World`
-            #: (``bind_deliver``); invoked as ``deliver(pending, recv_req)``.
-            self._deliver = None
-            #: Fast-path flags precomputed off the contention mode.
-            self._endpoint = self.contention is ContentionMode.ENDPOINT
-            self._n = plan.num_nodes
-            sim._slot_networks.append(self)
+    transfer_path = "lowered"
 
-    def bind_deliver(self, deliver) -> None:
-        """Install the matcher's delivery function for the fast path."""
-        self._deliver = deliver
+    def __init__(self, sim, mesh, cost_model=None, contention=ContentionMode.ENDPOINT,
+                 *, plan: EnginePlan):
+        super().__init__(sim, mesh, cost_model, contention=contention)
+        if sim._slot_network is not None:
+            raise ConfigurationError(
+                "this simulator already drives a lowered network; build one "
+                "World per simulator"
+            )
+        self.plan = plan
+        #: Attached :class:`~repro.obs.TraceSink` (see ``attach_trace``),
+        #: and the port names its records use.
+        self.obs = None
+        self._port_names = None
+        nports = plan.num_ports
+        #: Port state, struct-of-arrays: held flag, waiter FIFOs, and the
+        #: reference Resource's wait accounting.
+        self._port_in_use = bytearray(nports)
+        self._port_waiters: list = [None] * nports
+        self._port_wait_time = [0.0] * nports
+        #: (src*N + dst) -> {nbytes -> precomputed total delay/hold}.
+        self._edge_memo: dict[int, dict] = {}
+        self._record_pool: list[_Transfer] = []
+        #: Fast-path flags precomputed off the contention mode.
+        self._endpoint = self.contention is ContentionMode.ENDPOINT
+        self._n = plan.num_nodes
+        sim._slot_network = self
 
     def attach_trace(self, sink) -> None:
         """Record every port hold into ``sink`` from the slot records."""
-        if not self._lowered_on:
-            super().attach_trace(sink)  # raises: the reference path is untraced
         self.obs = sink
         #: Resource names, exactly the reference ``Resource`` names.
         self._port_names = [
@@ -389,49 +326,14 @@ class LoweredNetwork(Network):
         ]
 
     # -- lowered transfer path -------------------------------------------------
-    def transfer(self, src: int, dst: int, nbytes: int) -> Event:
-        if not self._lowered_on:
-            return super().transfer(src, dst, nbytes)
-        if nbytes < 0:
-            raise MachineError(f"negative message size: {nbytes}")
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
-        sim = self.sim
-        done = Event(sim, name="xfer")
-        pool = self._record_pool
-        record = pool.pop() if pool else _Transfer(self._step)
-        record.done = done
-        record.nbytes = nbytes
-
-        if src != dst and self._endpoint:
-            record.stage = _START
-            record.port1 = 2 * dst  # ejection port (acquired first)
-            record.port2 = 2 * src + 1  # injection port
-            record.hold = self._edge_hold(src, dst, nbytes)
-        elif src == dst:
-            # On-node copy: same two-event shape as the reference
-            # (deferral, then the copy delay), no ports.
-            record.stage = _DELAY
-            record.hold = self.plan.per_byte_s * nbytes
-        else:
-            record.stage = _DELAY
-            record.hold = self._edge_delay_none(src, dst, nbytes)
-        # The deferral: one sequence number, exactly like the reference's
-        # pooled_timeout(0.0) — same-timestamp operations posted earlier
-        # keep their place in the schedule.
-        sim._seq += 1
-        heappush(sim._queue, (sim._now, 1, sim._seq, record))
-        return done
-
     def transfer_matched(self, src: int, dst: int, pending, recv_req) -> None:
-        """Matched-transfer fast path: deliver from the slot record.
+        """Start a matched transfer as a slot record.
 
-        Same schedule as ``transfer()`` + a completion-Event pop — the
-        final record push stands in for ``done.succeed()`` (one sequence
-        number, same time and priority) and the ``_DELIVER`` stage runs
-        what the done-event's delivery callback would have — but with no
-        Event, no closure, and no callback-list churn per message.  Only
-        called by the matcher when the lowered path is on.
+        Same schedule as the reference ``transfer()`` plus its done-event
+        pop: the record's final push stands in for ``done.succeed()`` (one
+        sequence number, same time and priority), and its ``_DELIVER``
+        stage calls the delivery function the done event's callback would
+        have — with no Event, no closure, and no callback-list churn.
         """
         nbytes = pending.message.nbytes
         if nbytes < 0:
@@ -440,7 +342,7 @@ class LoweredNetwork(Network):
         self.bytes_sent += nbytes
         sim = self.sim
         pool = self._record_pool
-        record = pool.pop() if pool else _Transfer(self._step)
+        record = pool.pop() if pool else _Transfer()
         record.pending = pending
         record.recv = recv_req
         record.nbytes = nbytes
@@ -457,11 +359,16 @@ class LoweredNetwork(Network):
                 hold if hold is not None else self._edge_hold(src, dst, nbytes)
             )
         elif src == dst:
+            # On-node copy: same two-event shape as the reference
+            # (deferral, then the copy delay), no ports.
             record.stage = _DELAY
             record.hold = self.plan.per_byte_s * nbytes
         else:
             record.stage = _DELAY
             record.hold = self._edge_delay_none(src, dst, nbytes)
+        # The deferral: one sequence number, exactly like the reference's
+        # pooled_timeout(0.0) — same-timestamp operations posted earlier
+        # keep their place in the schedule.
         sim._seq += 1
         heappush(sim._queue, (sim._now, 1, sim._seq, record))
 
@@ -494,99 +401,6 @@ class LoweredNetwork(Network):
             )
         return delay
 
-    def _step(self, record: _Transfer) -> None:
-        """Advance one slot record; called by the engine loop on pop."""
-        stage = record.stage
-        sim = self.sim
-        if stage <= _ACQ1:  # _START or _ACQ1: acquire a port
-            if stage == _START:
-                port = record.port1
-                record.t_req1 = sim._now
-            else:
-                port = record.port2
-                record.t_req2 = sim._now
-            record.stage = stage + 1
-            if self._port_in_use[port]:
-                record.wait_since = sim._now
-                waiters = self._port_waiters[port]
-                if waiters is None:
-                    waiters = self._port_waiters[port] = []
-                waiters.append(record)
-            else:
-                self._port_in_use[port] = 1
-                self._port_grants[port] += 1
-                sim._seq += 1
-                heappush(sim._queue, (sim._now, 1, sim._seq, record))
-        elif stage == _ACQ2:
-            # Both ports held: serialize (header + occupancy), then release.
-            record.stage = _RELEASE
-            record.t_hold = sim._now
-            sim._seq += 1
-            heappush(sim._queue, (sim._now + record.hold, 1, sim._seq, record))
-        elif stage == _RELEASE:
-            # Release in reference order (injection, then ejection); each
-            # release hands the port straight to the oldest waiter.
-            for port in (record.port2, record.port1):
-                waiters = self._port_waiters[port]
-                if waiters:
-                    waiter = waiters.pop(0)
-                    self._port_grants[port] += 1
-                    self._port_wait_time[port] += sim._now - waiter.wait_since
-                    sim._seq += 1
-                    heappush(sim._queue, (sim._now, 1, sim._seq, waiter))
-                else:
-                    self._port_in_use[port] = 0
-            obs = self.obs
-            if obs is not None:
-                # Reference order: ejection port first.  The ejection grant
-                # came exactly when the injection port was requested.
-                names = self._port_names
-                start, now, nbytes = record.t_hold, sim._now, record.nbytes
-                obs.record_link_hold(
-                    names[record.port1], start, now, nbytes,
-                    record.t_req2 - record.t_req1,
-                )
-                obs.record_link_hold(
-                    names[record.port2], start, now, nbytes,
-                    start - record.t_req2,
-                )
-            self._complete(record, sim)
-        elif stage == _DELIVER:
-            pending, recv = record.pending, record.recv
-            record.pending = record.recv = None
-            if len(self._record_pool) < _RECORD_POOL_MAX:
-                self._record_pool.append(record)
-            self._deliver(pending, recv)
-        elif stage == _DELAY:
-            record.stage = _DELAY_DONE
-            sim._seq += 1
-            heappush(sim._queue, (sim._now + record.hold, 1, sim._seq, record))
-        else:  # _DELAY_DONE
-            self._complete(record, sim)
-
-    def _complete(self, record: _Transfer, sim) -> None:
-        """Transfer finished: complete the done Event, or re-push for the
-        inline delivery stage (one seq, standing in for ``done.succeed()``)."""
-        done = record.done
-        if done is None:
-            record.stage = _DELIVER
-            sim._seq += 1
-            heappush(sim._queue, (sim._now, 1, sim._seq, record))
-            return
-        record.done = None
-        if len(self._record_pool) < _RECORD_POOL_MAX:
-            self._record_pool.append(record)
-        done.succeed()
-
     # -- diagnostics -----------------------------------------------------------
     def endpoint_wait_time(self, node: int) -> float:
-        total = super().endpoint_wait_time(node)
-        if self._lowered_on:
-            total += self._port_wait_time[2 * node] + self._port_wait_time[2 * node + 1]
-        return total
-
-    def port_grants(self, node: int) -> int:
-        """Grants made at a node's two ports (lowered path only)."""
-        if not self._lowered_on:
-            return 0
-        return self._port_grants[2 * node] + self._port_grants[2 * node + 1]
+        return self._port_wait_time[2 * node] + self._port_wait_time[2 * node + 1]

@@ -28,7 +28,7 @@ class Simulator:
     #: Backend identity; subclasses in :mod:`repro.des.backends` override.
     backend = "python"
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self._now: float = 0.0
         self._queue: list = []
         self._seq: int = 0
@@ -42,16 +42,10 @@ class Simulator:
         #: Peak event-heap depth observed at :meth:`_schedule` time (one
         #: ``len`` + compare per scheduled event, same always-on budget as
         #: ``events_processed``).  Fast paths that push onto the heap
-        #: directly — eager-send completions, lowered slot records — are
-        #: not sampled, so this is a tight lower bound on the true peak;
-        #: it feeds the ``des_heap_depth_peak`` metrics gauge.
+        #: directly — eager-send completions, message deliveries, lowered
+        #: slot records — are not sampled, so this is a lower bound on the
+        #: true peak; it feeds the ``des_heap_depth_peak`` metrics gauge.
         self.heap_peak: int = 0
-        #: Optional structured tracer (installed by :class:`repro.des.Tracer`).
-        self.tracer = None
-        if trace:
-            from repro.des.monitor import Tracer
-
-            self.tracer = Tracer()
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -121,8 +115,6 @@ class Simulator:
             raise SimulationError("step() on an empty event queue")
         time, _priority, _seq, event = heapq.heappop(self._queue)
         self._now = time
-        if self.tracer is not None:
-            self.tracer.record(time, event)
         callbacks, event.callbacks = event.callbacks, []
         event._state = PROCESSED
         for callback in callbacks:
@@ -141,8 +133,8 @@ class Simulator:
         processes are still alive and no ``until`` time was given.
 
         The event loop is the simulation's hottest code: paper-scale runs
-        process ~10^6 events, so the tracer-off path below is a tight loop
-        with everything bound locally and no per-event tracer check.
+        process ~10^6 events, so :meth:`_run_fast` is a tight loop with
+        everything bound locally.
         """
         stop_event: Optional[Event] = None
         stop_time: Optional[float] = None
@@ -162,10 +154,7 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            if self.tracer is None:
-                finished = self._run_fast(stop_event, stop_time)
-            else:
-                finished = self._run_traced(stop_event, stop_time)
+            finished = self._run_fast(stop_event, stop_time)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -184,7 +173,7 @@ class Simulator:
         return None
 
     def _run_fast(self, stop_event: Optional[Event], stop_time: Optional[float]) -> bool:
-        """Tracer-off event loop.  Returns False on a stop_time horizon stop."""
+        """The event loop.  Returns False on a stop_time horizon stop."""
         queue = self._queue
         pool = self._timeout_pool
         pop = heapq.heappop
@@ -212,30 +201,6 @@ class Simulator:
                     pool.append(event)
         finally:
             self.events_processed += processed
-        return True
-
-    def _run_traced(self, stop_event: Optional[Event], stop_time: Optional[float]) -> bool:
-        """Event loop with the structured tracer attached.
-
-        Pooled timeouts are *not* recycled here: the tracer may hold on to
-        the event objects it records.
-        """
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
-                return True
-            if stop_time is not None and self._queue[0][0] > stop_time:
-                self._now = stop_time
-                return False
-            time, _priority, _seq, event = heapq.heappop(self._queue)
-            self._now = time
-            self.tracer.record(time, event)
-            callbacks, event.callbacks = event.callbacks, []
-            event._state = PROCESSED
-            for callback in callbacks:
-                callback(event)
-            self.events_processed += 1
-            if event._ok is False and not event.defused:
-                raise event._value
         return True
 
     def _raise_deadlock(self, reason: str) -> None:

@@ -222,15 +222,24 @@ def _execute(
         return outcomes  # type: ignore[return-value]
 
     keys = {index: key for index, _, key in pending}
+    # Worker snapshots fold into the parent registry in input order, each
+    # once every earlier point has landed: a float sum depends on its
+    # order, and this is the order a serial sweep records in.
+    order = [index for index, _, _ in pending]
+    landed: dict[int, Optional[dict]] = {}
+    folded = 0
 
     def settle(index: int, result, error, elapsed: float,
                metrics: Optional[dict] = None) -> None:
+        nonlocal folded
         if error is None and store is not None and keys[index] is not None:
             store.put(keys[index], result)
-        if metrics is not None:
-            # Worker snapshots fold into the parent registry as they land,
-            # so the merged totals match what a serial sweep records.
-            metrics_registry.merge(metrics)
+        landed[index] = metrics
+        while folded < len(order) and order[folded] in landed:
+            snapshot = landed.pop(order[folded])
+            if snapshot is not None:
+                metrics_registry.merge(snapshot)
+            folded += 1
         note(
             PointOutcome(
                 index=index,

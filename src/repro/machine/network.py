@@ -41,9 +41,6 @@ class ContentionMode(enum.Enum):
 class Network:
     """Simulated interconnect bound to a :class:`Simulator` and a mesh."""
 
-    #: Whether the matcher may use the backend's matched-transfer fast path
-    #: (``transfer_matched``); only lowered networks override this.
-    _matched_fast = False
     #: Which transfer implementation runs this network's messages:
     #: ``"reference"`` (this class's callback chain) or ``"lowered"``
     #: (slot records).  Reported by perf and the ``des_*`` metrics.
@@ -71,6 +68,13 @@ class Network:
         #: Counters for diagnostics / tests.
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: Delivery function bound by :class:`~repro.mpi.communicator.World`
+        #: (:meth:`bind_deliver`); called as ``deliver(pending, recv_req)``.
+        self._deliver = None
+
+    def bind_deliver(self, deliver) -> None:
+        """Install the function that completes a transferred message."""
+        self._deliver = deliver
 
     # -- resource lookup (lazy: a 321-node mesh has ~2500 links) --------------
     def _injection_port(self, node: int) -> Resource:
@@ -92,6 +96,19 @@ class Network:
         return res
 
     # -- transfers ------------------------------------------------------------
+    def transfer_matched(self, src: int, dst: int, pending, recv_req) -> None:
+        """Move a matched message from node ``src`` to node ``dst``.
+
+        The one entry the matcher uses: when the payload arrives, the bound
+        delivery function completes ``pending``'s send and ``recv_req``.
+        Here that is a callback on :meth:`transfer`'s done event; the
+        lowered network delivers from its slot record instead, with the
+        same schedule.
+        """
+        deliver = self._deliver
+        done = self.transfer(src, dst, pending.message.nbytes)
+        done.callbacks.append(lambda _ev: deliver(pending, recv_req))
+
     def transfer(self, src: int, dst: int, nbytes: int) -> Event:
         """Start a message transfer; returns an event firing at delivery.
 
@@ -184,11 +201,10 @@ class Network:
         Only the lowered transfer path records link holds; the reference
         path is a plain checker and refuses rather than run untraced.
         """
-        tracer = ", engine tracer attached" if self.sim.tracer is not None else ""
         raise ConfigurationError(
             f"network tracing needs the lowered transfer path, but this run "
             f"uses the reference one (backend={self.sim.backend!r}, "
-            f"contention={self.contention.value!r}{tracer}); trace with the "
+            f"contention={self.contention.value!r}); trace with the "
             f"default lowered backend and 'none' or 'endpoint' contention"
         )
 

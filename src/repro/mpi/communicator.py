@@ -112,8 +112,7 @@ class World:
         self.network: Network = backend.create_network(
             sim, machine.mesh, machine.network_cost, contention, self.engine_plan
         )
-        if self.network._matched_fast:
-            self.network.bind_deliver(self._deliver_matched)
+        self.network.bind_deliver(self._deliver)
         self.num_ranks = num_ranks
         if placement is None:
             placement = list(range(num_ranks))
@@ -360,56 +359,30 @@ class World:
 
     def _start_transfer(self, pending: _PendingSend, recv_req: RecvRequest) -> None:
         record = pending.record
-        placement = self.placement
-        network = self.network
-        if network._matched_fast and record is None:
-            # Lowered backends deliver straight from the slot record — no
-            # completion Event or callback closure per message (the record's
-            # final push consumes the same sequence number ``done.succeed()``
-            # would, so the schedule is bit-identical).
-            network.transfer_matched(
-                placement[pending.src_world],
-                placement[pending.dst_world],
-                pending,
-                recv_req,
-            )
-            return
         if record is not None:
             record.t_recv_post = recv_req.posted_at
-            record.t_match = self.sim.now
-        done = network.transfer(
-            placement[pending.src_world],
-            placement[pending.dst_world],
-            pending.message.nbytes,
+            record.t_match = self.sim._now
+        placement = self.placement
+        self.network.transfer_matched(
+            placement[pending.src_world], placement[pending.dst_world],
+            pending, recv_req,
         )
 
-        def _deliver(_event, pending=pending, recv_req=recv_req):
-            message = pending.message
-            message.delivered_at = self.sim.now
-            if pending.record is not None:
-                pending.record.t_complete = self.sim.now
-            if recv_req.comm is not None:
-                # Translate world source rank to the receiver's local rank.
-                message.source = recv_req.comm._local_of_world.get(
-                    message.source, message.source
-                )
-            if not pending.request.triggered:  # eager sends completed early
-                pending.request.succeed(None)
-            recv_req.succeed(message)
+    def _deliver(self, pending: _PendingSend, recv_req: RecvRequest) -> None:
+        """Complete a transferred message: the one delivery body.
 
-        done.callbacks.append(_deliver)
-
-    def _deliver_matched(self, pending: _PendingSend, recv_req: RecvRequest) -> None:
-        """Complete a matched transfer (the fast path's ``_deliver`` body).
-
-        The two request completions are inlined ``Event.succeed`` calls
-        (same state writes, same one-sequence-number ``_schedule`` at the
-        NORMAL priority), saving two call chains on every message.
+        Both networks call it when the payload arrives.  The two request
+        completions are inlined ``Event.succeed`` calls (same state writes,
+        same one-sequence-number schedule at the NORMAL priority), saving
+        two call chains on every message.
         """
         sim = self.sim
         now = sim._now
         message = pending.message
         message.delivered_at = now
+        record = pending.record
+        if record is not None:
+            record.t_complete = now
         comm = recv_req.comm
         if comm is not None:
             # Translate world source rank to the receiver's local rank.

@@ -18,6 +18,7 @@ from repro import (
     TargetTruth,
 )
 from repro.errors import ConfigurationError
+from repro.machine.network import Network
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,19 @@ class TestReplication:
         assert len(result.per_replica) == 2
         for metrics in result.per_replica:
             assert metrics.measured_throughput > 0
+
+    def test_runs_on_the_lowered_transfer_path(self, params, assignment, monkeypatch):
+        """The replicated pipeline runs on the default core, so no message
+        takes the reference network's transfer path; the numbers are the
+        reference engine's, repr-exact."""
+
+        def refuse(*_args):
+            raise AssertionError("replicated run left the slot-record path")
+
+        monkeypatch.setattr(Network, "_begin_transfer", refuse)
+        result = ReplicatedSTAPPipeline(params, assignment, 2, num_cpis=8).run()
+        assert repr(result.aggregate_throughput) == "101.20367815736489"
+        assert repr(result.latency) == "0.06765075675841323"
 
     def test_node_budget_enforced(self, params, assignment):
         # 2 x 24 = 48 nodes cannot fit a 25-node machine.

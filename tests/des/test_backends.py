@@ -50,6 +50,7 @@ from repro.exec.cache import CACHE_SCHEMA, cache_key, engine_fingerprint
 from repro.exec.point import SimPoint
 from repro.machine import afrl_paragon
 from repro.mpi import ANY_SOURCE, ANY_TAG, World
+from repro.obs import TraceSink
 
 pytestmark = pytest.mark.backends
 
@@ -87,6 +88,13 @@ class TestResolution:
         assert isinstance(get_backend("lowered"), LoweredBackend)
         assert get_backend("python").create_simulator().backend == "python"
         assert get_backend("lowered").create_simulator().backend == "lowered"
+
+    def test_one_lowered_network_per_engine(self):
+        engine = get_backend("lowered")
+        sim = engine.create_simulator()
+        World(sim, afrl_paragon(), num_ranks=2, backend=engine)
+        with pytest.raises(ConfigurationError, match="one World per simulator"):
+            World(sim, afrl_paragon(), num_ranks=2, backend=engine)
 
     def test_simpoint_validates_backend_names(self):
         with pytest.raises(ConfigurationError, match="unknown simulator backend"):
@@ -252,11 +260,38 @@ def traffic_patterns(draw):
     return num_ranks, messages
 
 
-def _run_traffic(backend, num_ranks, messages, contention, use_wildcard):
+#: Horizon step of the ``until`` drive mode: a few message times, so a run
+#: stops many times mid-transfer.
+_SLICE_S = 50e-6
+
+
+def _drive(sim, drive):
+    """Run ``sim`` to the end: ``run()``, ``run(until=t)`` in slices, or
+    ``step()`` until the queue is empty.  Each slice must stop at its
+    horizon and each step must process exactly one event."""
+    if drive == "run":
+        sim.run()
+    elif drive == "until":
+        while sim._queue:
+            horizon = sim.now + _SLICE_S
+            sim.run(until=horizon)
+            assert not sim._queue or (
+                sim.now == horizon and sim._queue[0][0] > horizon
+            )
+    else:
+        while sim._queue:
+            before = sim.events_processed
+            sim.step()
+            assert sim.events_processed == before + 1
+
+
+def _run_traffic(backend, num_ranks, messages, contention, use_wildcard,
+                 drive="run", traced=False):
     """One random program on one backend; returns its full observable trace.
 
     Message sizes straddle the eager threshold so both transfer protocols
     (and, under ENDPOINT contention, port queueing) are exercised.
+    ``traced`` attaches a :class:`TraceSink` to the world (lowered only).
     """
     sends_by_rank = defaultdict(list)
     expected_by_dst = defaultdict(list)
@@ -271,6 +306,11 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard):
         sim, afrl_paragon(), num_ranks=num_ranks,
         contention=contention, backend=engine,
     )
+    if traced:
+        sink = TraceSink()
+        world.network.attach_trace(sink)
+        sink.bind(sim)
+        world.obs = sink
     deliveries = []
 
     def program(ctx):
@@ -290,7 +330,7 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard):
             yield ctx.wait_all(requests)
 
     world.spawn_all(program)
-    sim.run()
+    _drive(sim, drive)
     waits = [
         repr(world.network.endpoint_wait_time(node))
         for node in range(num_ranks)
@@ -311,21 +351,26 @@ class TestBackendEquivalence:
         traffic_patterns(),
         st.sampled_from(("none", "endpoint")),
         st.booleans(),
+        st.sampled_from(("run", "until", "step")),
+        st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_event_sequences_identical_across_backends(
-        self, pattern, contention, use_wildcard
+        self, pattern, contention, use_wildcard, drive, traced
     ):
-        """Same random program, every backend: identical deliveries (order,
-        payload, and receipt timestamp), identical final clock, identical
-        event and schedule-sequence counts, identical wire totals."""
+        """Same random program, every backend, every way of driving the
+        loop, traced or not: identical deliveries (order, payload, and
+        receipt timestamp), identical final clock, identical event and
+        schedule-sequence counts, identical wire totals and waits, all
+        against the reference engine's plain ``run()``."""
         num_ranks, messages = pattern
         reference = _run_traffic(
             "python", num_ranks, messages, contention, use_wildcard
         )
         for backend in FAST_BACKENDS:
             got = _run_traffic(
-                backend, num_ranks, messages, contention, use_wildcard
+                backend, num_ranks, messages, contention, use_wildcard,
+                drive=drive, traced=traced,
             )
             assert got == reference, f"backend {backend} diverged"
 

@@ -3,45 +3,60 @@
 import pytest
 
 from repro.des import Simulator
+from repro.des.backends import BACKEND_NAMES, get_backend
 from repro.errors import DeadlockError, SimulationError
+from repro.machine import afrl_paragon
+from repro.mpi import World
+
+
+def new_sims():
+    """One fresh simulator per backend.  A world binds the lowered network,
+    so the lowered engine runs its slot-record loop."""
+    for name in BACKEND_NAMES:
+        engine = get_backend(name)
+        sim = engine.create_simulator()
+        World(sim, afrl_paragon(), num_ranks=2, backend=engine)
+        yield sim
 
 
 class TestRunModes:
+    """Each case runs on every backend's simulator (a loop, not a pytest
+    parameter, so the test ids stay those of the reference-only suite)."""
+
     def test_run_until_time_stops_clock_there(self):
-        sim = Simulator()
-        sim.timeout(10.0)
-        sim.run(until=4.0)
-        assert sim.now == 4.0
+        for sim in new_sims():
+            sim.timeout(10.0)
+            sim.run(until=4.0)
+            assert sim.now == 4.0
 
     def test_run_until_event_returns_its_value(self):
-        sim = Simulator()
-
         def proc(sim, done):
             yield sim.timeout(3.0)
             done.succeed("finished")
 
-        done = sim.event()
-        sim.process(proc(sim, done))
-        assert sim.run(until=done) == "finished"
-        assert sim.now == 3.0
+        for sim in new_sims():
+            done = sim.event()
+            sim.process(proc(sim, done))
+            assert sim.run(until=done) == "finished"
+            assert sim.now == 3.0
 
     def test_run_until_past_time_rejected(self):
-        sim = Simulator()
-        sim.timeout(1.0)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.run(until=0.5)
+        for sim in new_sims():
+            sim.timeout(1.0)
+            sim.run()
+            with pytest.raises(SimulationError):
+                sim.run(until=0.5)
 
     def test_step_on_empty_queue_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.step()
+        for sim in new_sims():
+            with pytest.raises(SimulationError):
+                sim.step()
 
     def test_run_until_event_that_never_fires_deadlocks(self):
-        sim = Simulator()
-        never = sim.event("never")
-        with pytest.raises(DeadlockError):
-            sim.run(until=never)
+        for sim in new_sims():
+            never = sim.event("never")
+            with pytest.raises(DeadlockError):
+                sim.run(until=never)
 
 
 class TestOrdering:
@@ -55,29 +70,35 @@ class TestOrdering:
         assert order == [0, 1, 2, 3, 4]
 
     def test_clock_is_monotone(self):
-        sim = Simulator(trace=True)
+        sim = Simulator()
+        log = []
 
-        def proc(sim, delay):
+        def proc(sim, name, delay):
             for _ in range(5):
                 yield sim.timeout(delay)
+                log.append((sim.now, name))
 
         for d in (0.3, 1.0, 0.7):
-            sim.process(proc(sim, d))
+            sim.process(proc(sim, f"p{d}", d), name=f"p{d}")
         sim.run()
-        assert sim.tracer.times_are_monotone()
+        times = [t for t, _name in log]
+        assert len(times) == 15
+        assert times == sorted(times)
 
     def test_determinism_across_runs(self):
         def build_and_run():
-            sim = Simulator(trace=True)
+            sim = Simulator()
+            log = []
 
-            def ping(sim, n):
+            def ping(sim, name, n):
                 for i in range(n):
                     yield sim.timeout(0.5 * (i + 1))
+                    log.append((sim.now, name))
 
             for n in (3, 4, 5):
-                sim.process(ping(sim, n))
+                sim.process(ping(sim, f"ping{n}", n), name=f"ping{n}")
             sim.run()
-            return [(r.time, r.name) for r in sim.tracer]
+            return log
 
         assert build_and_run() == build_and_run()
 
@@ -139,18 +160,6 @@ class TestPooledTimeouts:
         # After the first timeout is processed it returns to the pool and
         # is handed back out for the next wait.
         assert len(set(seen)) < len(seen)
-
-    def test_tracer_disables_recycling(self):
-        sim = Simulator(trace=True)
-
-        def proc():
-            yield sim.pooled_timeout(1.0)
-            yield sim.pooled_timeout(1.0)
-
-        sim.process(proc())
-        sim.run()
-        # The tracer records event objects, so they must never be reused.
-        assert not sim._timeout_pool
 
     def test_pooled_and_plain_timeouts_interleave_deterministically(self):
         def run_once(pooled: bool):

@@ -25,16 +25,19 @@ class TestClockInvariants:
     @given(timeout_schedules())
     @settings(max_examples=60, deadline=None)
     def test_trace_times_never_decrease(self, schedules):
-        sim = Simulator(trace=True)
+        sim = Simulator()
+        log = []
 
-        def sleeper(sim, delays):
+        def sleeper(sim, name, delays):
             for d in delays:
                 yield sim.timeout(d)
+                log.append((sim.now, name))
 
-        for delays in schedules:
-            sim.process(sleeper(sim, delays))
+        for i, delays in enumerate(schedules):
+            sim.process(sleeper(sim, f"s{i}", delays), name=f"s{i}")
         sim.run()
-        assert sim.tracer.times_are_monotone()
+        times = [t for t, _name in log]
+        assert times == sorted(times)
 
     @given(timeout_schedules())
     @settings(max_examples=60, deadline=None)
@@ -54,16 +57,18 @@ class TestClockInvariants:
     @settings(max_examples=30, deadline=None)
     def test_determinism(self, schedules):
         def one_run():
-            sim = Simulator(trace=True)
+            sim = Simulator()
+            log = []
 
-            def sleeper(sim, delays):
+            def sleeper(sim, name, delays):
                 for d in delays:
                     yield sim.timeout(d)
+                    log.append((sim.now, name))
 
-            for delays in schedules:
-                sim.process(sleeper(sim, delays))
+            for i, delays in enumerate(schedules):
+                sim.process(sleeper(sim, f"s{i}", delays), name=f"s{i}")
             sim.run()
-            return [(r.time, r.kind, r.name) for r in sim.tracer]
+            return log
 
         assert one_run() == one_run()
 

@@ -1,7 +1,12 @@
 """CLI smoke tests: every subcommand runs and prints the expected shape."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -21,6 +26,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "doppler" in out
         assert "403,5" in out  # total flops
+
+    def test_closed_pipe_prints_no_traceback(self):
+        """``repro-stap ... | grep -q`` closes the pipe early; the CLI must
+        exit without a ``BrokenPipeError`` traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "flops"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
     def test_case_quick(self, capsys):
         assert main(["case", "--name", "case3", "--cpis", "8"]) == 0
