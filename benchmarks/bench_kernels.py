@@ -8,8 +8,9 @@ implementations, kept as ground truth), plus the end-to-end
 functional chain before/after.  Four sections, beside the host's
 ``usable_cpus`` and the ``kernel_threads`` the split kernels use:
 
-* **kernels** — per-kernel wall time, loop vs batched, identical outputs
-  asserted (the batched kernels are bit-identical by construction);
+* **kernels** — per-kernel wall time, loop vs batched, on one BLAS thread
+  and one kernel thread (the ``rt`` workers' configuration), identical
+  outputs asserted (the batched kernels are bit-identical by construction);
 * **doppler** — the cache-blocked Doppler kernel on one thread and split
   over the kernel threads (with the chunk count the split used), so the
   single-core gain and the threading gain each show on their own;
@@ -55,6 +56,7 @@ from repro.stap.flops import doppler_flops
 from repro.stap.lsq import qr_append_rows, solve_constrained
 from repro.stap.threads import (
     kernel_threads,
+    one_thread_children,
     set_kernel_threads,
     split_chunks,
     usable_cpus,
@@ -68,6 +70,12 @@ NUM_CPIS = 6
 
 #: Functional-pipeline node assignment (modest: the numerics dominate).
 FUNCTIONAL_COUNTS = (2, 1, 2, 1, 1, 1, 1)
+
+#: Seconds of multi-threaded BLAS work after the one-thread kernel rows.
+#: On a 2-vCPU host, small BLAS calls ran about 40x slower for the first
+#: 1.0-1.25 s after OpenBLAS's helper threads (re)started on an idle CPU,
+#: so the next timed section could land entirely in that phase.
+BLAS_WARMUP_SECONDS = 2.0
 
 
 def bench_scenario() -> RadarScenario:
@@ -130,6 +138,14 @@ def loop_kernels():
 
 
 # -- per-kernel micro-benchmarks -------------------------------------------------
+def warm_blas(seconds: float = BLAS_WARMUP_SECONDS) -> None:
+    """Keep OpenBLAS's helper threads busy for ``seconds`` (untimed)."""
+    a = np.random.default_rng(0).standard_normal((128, 128))
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        a @ a
+
+
 def _best_of(fn, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -320,11 +336,17 @@ def bench_kernel_metrics(params: STAPParams, num_cpis: int = NUM_CPIS) -> dict:
 
 
 def measure_all(params: STAPParams, scale: str, num_cpis: int = NUM_CPIS) -> dict:
+    # The weight kernels run on one BLAS thread, as ``rt`` workers run them;
+    # leaving the pin restarts the BLAS helper threads the later sections
+    # use, so they are warmed before anything else is timed.
+    with one_thread_children():
+        kernels = bench_weight_kernels(params)
+    warm_blas()
     return {
         "scale": scale,
         "usable_cpus": usable_cpus(),
         "kernel_threads": kernel_threads(),
-        "kernels": bench_weight_kernels(params),
+        "kernels": kernels,
         "doppler": bench_doppler(params),
         "counters": bench_kernel_metrics(params, num_cpis),
         "end_to_end": bench_end_to_end(params, num_cpis),

@@ -114,9 +114,10 @@ class STAPPipeline:
         task iteration, per-message MPI lifecycles, and per-link network
         stats — purely passively, so modeled timestamps are identical
         with tracing on or off.  Off by default (one ``is None`` check
-        per iteration/message/transfer).  Link stats come from the lowered
-        transfer path, so running a traced pipeline with ``backend="python"``
-        or ``links`` contention raises :class:`ConfigurationError`.
+        per iteration/message/transfer).  Link stats (ports, and route
+        links under ``links`` contention) come from the lowered transfer
+        path, so running a traced pipeline with ``backend="python"`` raises
+        :class:`ConfigurationError`.
 
         ``backend``: simulator core (see :mod:`repro.des.backends`): None
         or ``"lowered"`` (the plan-lowered core, the default) or

@@ -4,11 +4,10 @@ Two backends run the same simulation with the same bit-exact results:
 
 ``lowered`` (the default)
     Plan-lowered hot path: transfers become pooled slot records driven by
-    :class:`EnginePlan` tables through one event loop (traced or not, run
-    to the end, to a stop or one step at a time), the matcher packs its
-    keys into integers, and an attached :class:`~repro.obs.TraceSink` is
-    fed from the slot records themselves.  ``contention="links"`` is the
-    one configuration it runs on the reference transfer path.
+    :class:`EnginePlan` tables through one event loop (every contention
+    mode, traced or not, run to the end, to a stop or one step at a time),
+    the matcher packs its keys into integers, and an attached
+    :class:`~repro.obs.TraceSink` is fed from the slot records themselves.
     ``backend=None`` resolves here on every entry point (pipeline, sweeps,
     tuner, CLI).
 ``python``
@@ -31,7 +30,6 @@ from repro.des.engine import Simulator
 from repro.des.backends.lowered import LoweredNetwork, LoweredSimulator
 from repro.des.backends.plan import EnginePlan, TAG_BITS, TAG_LIMIT
 from repro.errors import ConfigurationError
-from repro.machine.network import ContentionMode
 
 #: Engine implementation schema: bump when any backend's scheduling
 #: semantics change, to invalidate cached results keyed on it.  2: the
@@ -88,12 +86,6 @@ class LoweredBackend(EngineBackend):
         return EnginePlan.build(mesh, cost, contention, backend=self.name)
 
     def create_network(self, sim, mesh, cost, contention, plan):
-        if ContentionMode(contention) is ContentionMode.LINKS or not isinstance(
-            sim, LoweredSimulator
-        ):
-            # A slot record holds two ports, not a route's links; the
-            # network's ``transfer_path`` reports this fallback.
-            return super().create_network(sim, mesh, cost, contention, plan)
         return LoweredNetwork(sim, mesh, cost, contention=contention, plan=plan)
 
 

@@ -1,11 +1,11 @@
 """The lowered-plan Python backend.
 
 Same simulation, flattened hot path.  The reference engine drives every
-network transfer through generic machinery: a pooled deferral timeout, two
-:class:`~repro.des.resource.Resource` requests (an Event allocation, a
-grant Event, and two closures each), a hold timeout, and a completion
-Event — five heap entries and roughly a dozen object allocations per
-message.  The lowered backend replaces all of that with **one pooled slot
+network transfer through generic machinery: a pooled deferral timeout, one
+:class:`~repro.des.resource.Resource` request per held port (an Event
+allocation, a grant Event, and two closures each), a hold timeout, and a
+completion Event — five heap entries under ENDPOINT contention and roughly
+a dozen object allocations per message.  The lowered backend replaces all of that with **one pooled slot
 record** per in-flight transfer that the event loop advances through an
 integer state machine, reading precomputed :class:`EnginePlan` tables.
 The loop in :meth:`LoweredSimulator._run_slots` is the only place a record
@@ -21,34 +21,32 @@ counterpart here, in the same order, at the same time and priority —
 ====================================  =====================================
 reference event                       lowered slot state
 ====================================  =====================================
-``pooled_timeout(0)`` deferral        record pushed at ``now`` (START)
-eject-port grant Event                record re-pushed at ``now`` (ACQ1)
-inject-port grant Event               record re-pushed at ``now`` (ACQ2)
-hold-time ``pooled_timeout``          record pushed at ``now+hold`` (RELEASE)
+``pooled_timeout(0)`` deferral        record pushed at ``now`` (ACQ)
+grant Event of each port, in order    record re-pushed at ``now`` (ACQ)
+hold or delay ``pooled_timeout``     record pushed at ``now+hold`` (RELEASE)
 ``done.succeed()``                    record re-pushed at ``now`` (DELIVER)
 ====================================  =====================================
 
+A record holds its ports as a tuple in the reference acquire order (by
+resource name): the ejection and injection ports under ENDPOINT
+contention, followed by every link of the XY route under LINKS, and none
+for an on-node copy or under NONE contention, whose hold is the analytic
+delay.  Each ACQ pop requests the next port; the pop after the last grant
+starts the hold.
 A transfer that finds a port busy enqueues without consuming a sequence
 number, and is re-pushed by the releasing transfer — exactly when the
 reference ``Resource`` would have scheduled the grant.  At DELIVER the
 record calls the world's delivery function, the same one the reference
 done event's callback calls.  Timestamps, event order, and every counter
-therefore match the reference bit for bit; the golden and hypothesis
-backend tests enforce this.
+therefore match the reference bit for bit in every contention mode; the
+golden and hypothesis backend tests enforce this.
 
-Tracing: every record stamps its two port request times and its hold
-start.  With a :class:`~repro.obs.TraceSink` attached (``attach_trace``)
-the release also reports each port's hold interval, bytes and contention
-wait — exactly what the reference path's resources would have seen.
-Traced and untraced runs take the same loop and the same schedule.
-
-Fallback: the LINKS contention mode needs a hold per route link, which a
-slot record does not carry, so :class:`~repro.des.backends.LoweredBackend`
-gives it the reference :class:`~repro.machine.network.Network` (on the
-lowered engine the two paths schedule identically, so mixing modes across
-runs stays bit-identical).  The network says which path ran in
-``transfer_path``, which perf reports and the ``des_*`` metrics carry as a
-label.
+Tracing: with a :class:`~repro.obs.TraceSink` attached (``attach_trace``)
+every record stamps each port's request time and its hold start (a port's
+grant is the next port's request), and the release reports each port's
+hold interval, bytes and contention wait — exactly what the reference
+path's resources would have seen.  Traced and untraced runs take the same
+loop and the same schedule.
 """
 
 from __future__ import annotations
@@ -62,13 +60,9 @@ from repro.machine.network import ContentionMode, Network
 from repro.des.backends.plan import EnginePlan
 
 #: Slot-record states; the value is the *next* action the loop performs.
-_START = 0  # acquire the ejection port (or branch to the delay path)
-_ACQ1 = 1  # ejection port held; acquire the injection port
-_ACQ2 = 2  # both ports held; serialize for the hold time
-_RELEASE = 3  # release ports, wake waiters, then deliver
-_DELAY = 4  # contention-free path: single analytic delay
-_DELAY_DONE = 5  # analytic delay elapsed; deliver
-_DELIVER = 6  # hand the message to the receiver
+_ACQ = 0  # request the next port, or start the hold once all are held
+_RELEASE = 1  # release ports, wake waiters, then deliver
+_DELIVER = 2  # hand the message to the receiver
 
 #: Recycled slot records kept per network (matches the engine's timeout pool
 #: bound; in-flight transfers beyond this simply allocate).
@@ -82,35 +76,24 @@ class _Transfer:
     and advances ``stage`` instead of running Event callbacks.
     """
 
-    __slots__ = (
-        "stage",
-        "port1",
-        "port2",
-        "hold",
-        "wait_since",
-        "pending",
-        "recv",
-        "nbytes",
-        "t_req1",
-        "t_req2",
-        "t_hold",
-    )
+    __slots__ = ("stage", "ports", "left", "hold", "wait_since", "pending",
+                 "recv", "nbytes", "stamps")
 
     def __init__(self):
-        self.stage = _START
-        self.port1 = 0
-        self.port2 = 0
+        self.stage = _ACQ
+        #: Ports to hold, in acquire order (none on the analytic-delay
+        #: paths), how many are still to request, and the hold time.
+        self.ports = ()
+        self.left = 0
         self.hold = 0.0
         self.wait_since = 0.0
         #: The pending send and the receive request to deliver at _DELIVER.
         self.pending = None
         self.recv = None
-        #: Trace stamps (read only when a sink is attached): message size,
-        #: the two port request times, and when both ports were held.
+        #: Trace stamps (kept only when a sink is attached): message size,
+        #: then each port's request time followed by the hold start.
         self.nbytes = 0
-        self.t_req1 = 0.0
-        self.t_req2 = 0.0
-        self.t_hold = 0.0
+        self.stamps = []
 
 
 class LoweredSimulator(Simulator):
@@ -184,35 +167,36 @@ class LoweredSimulator(Simulator):
                 if event.__class__ is transfer_cls:
                     processed += 1
                     stage = event.stage
-                    if stage <= _ACQ1:  # _START or _ACQ1: acquire a port
-                        if stage == _START:
-                            port = event.port1
-                            event.t_req1 = time
+                    if stage == _ACQ:
+                        # Request the next port; the pop after the last
+                        # grant starts the hold (header + occupancy, or the
+                        # analytic delay of a record without ports).
+                        if obs is not None:
+                            event.stamps.append(time)
+                        left = event.left
+                        if left:
+                            port = event.ports[-left]
+                            event.left = left - 1
+                            if in_use[port]:
+                                event.wait_since = time
+                                waiters = waiter_tbl[port]
+                                if waiters is None:
+                                    waiters = waiter_tbl[port] = []
+                                waiters.append(event)
+                            else:
+                                in_use[port] = 1
+                                seq += 1
+                                push(queue, (time, 1, seq, event))
                         else:
-                            port = event.port2
-                            event.t_req2 = time
-                        event.stage = stage + 1
-                        if in_use[port]:
-                            event.wait_since = time
-                            waiters = waiter_tbl[port]
-                            if waiters is None:
-                                waiters = waiter_tbl[port] = []
-                            waiters.append(event)
-                        else:
-                            in_use[port] = 1
+                            event.stage = _RELEASE
                             seq += 1
-                            push(queue, (time, 1, seq, event))
-                    elif stage == _ACQ2:
-                        # Both ports held: serialize (header + occupancy).
-                        event.stage = _RELEASE
-                        event.t_hold = time
-                        seq += 1
-                        push(queue, (time + event.hold, 1, seq, event))
+                            push(queue, (time + event.hold, 1, seq, event))
                     elif stage == _RELEASE:
-                        # Release in reference order (injection, then
-                        # ejection); each release hands the port straight
-                        # to the oldest waiter.
-                        for port in (event.port2, event.port1):
+                        # Release in reverse acquire order, as the reference
+                        # does; each release hands the port straight to the
+                        # oldest waiter.
+                        ports = event.ports
+                        for port in reversed(ports):
                             waiters = waiter_tbl[port]
                             if waiters:
                                 waiter = waiters.pop(0)
@@ -222,22 +206,20 @@ class LoweredSimulator(Simulator):
                             else:
                                 in_use[port] = 0
                         if obs is not None:
-                            # Reference order: ejection port first.  The
-                            # ejection grant came exactly when the injection
-                            # port was requested.
-                            start, nbytes = event.t_hold, event.nbytes
-                            obs.record_link_hold(
-                                names[event.port1], start, time, nbytes,
-                                event.t_req2 - event.t_req1,
-                            )
-                            obs.record_link_hold(
-                                names[event.port2], start, time, nbytes,
-                                start - event.t_req2,
-                            )
+                            # In acquire order; a port's wait ends when the
+                            # next port is requested (or the hold starts).
+                            stamps = event.stamps
+                            start, nbytes = stamps[-1], event.nbytes
+                            for i, port in enumerate(ports):
+                                obs.record_link_hold(
+                                    names[port], start, time, nbytes,
+                                    stamps[i + 1] - stamps[i],
+                                )
+                            stamps.clear()
                         event.stage = _DELIVER
                         seq += 1
                         push(queue, (time, 1, seq, event))
-                    elif stage == _DELIVER:
+                    else:  # _DELIVER
                         pending, recv = event.pending, event.recv
                         event.pending = event.recv = None
                         if len(record_pool) < _RECORD_POOL_MAX:
@@ -245,14 +227,6 @@ class LoweredSimulator(Simulator):
                         self._seq = seq
                         deliver(pending, recv)
                         seq = self._seq
-                    elif stage == _DELAY:
-                        event.stage = _DELAY_DONE
-                        seq += 1
-                        push(queue, (time + event.hold, 1, seq, event))
-                    else:  # _DELAY_DONE
-                        event.stage = _DELIVER
-                        seq += 1
-                        push(queue, (time, 1, seq, event))
                     continue
                 # Generic event: identical to the reference loop, with the
                 # sequence counter handed back for the callback window.
@@ -279,15 +253,13 @@ class LoweredSimulator(Simulator):
 
 
 class LoweredNetwork(Network):
-    """Plan-driven network scheduler (NONE and ENDPOINT contention).
+    """Plan-driven network scheduler, for every contention mode.
 
     Every transfer runs as a slot record off :class:`EnginePlan` tables,
     traced or not.  It needs a :class:`LoweredSimulator` (the reference
     loop cannot run a slot record), and one engine drives at most one
     lowered network.
     """
-
-    transfer_path = "lowered"
 
     def __init__(self, sim, mesh, cost_model=None, contention=ContentionMode.ENDPOINT,
                  *, plan: EnginePlan):
@@ -299,31 +271,30 @@ class LoweredNetwork(Network):
             )
         self.plan = plan
         #: Attached :class:`~repro.obs.TraceSink` (see ``attach_trace``),
-        #: and the port names its records use.
+        #: and the reference resource names of the ports, which label its
+        #: records and order each route's acquires.
         self.obs = None
-        self._port_names = None
+        self._port_names = plan.port_names()
         nports = plan.num_ports
         #: Port state, struct-of-arrays: held flag, waiter FIFOs, and the
         #: reference Resource's wait accounting.
         self._port_in_use = bytearray(nports)
         self._port_waiters: list = [None] * nports
         self._port_wait_time = [0.0] * nports
-        #: (src*N + dst) -> {nbytes -> precomputed total delay/hold}.
+        #: (src*N + dst) -> {nbytes -> precomputed total delay/hold}, and
+        #: (LINKS) -> the ports a transfer on that edge holds, in order.
         self._edge_memo: dict[int, dict] = {}
+        self._edge_ports: dict[int, tuple] = {}
         self._record_pool: list[_Transfer] = []
         #: Fast-path flags precomputed off the contention mode.
-        self._endpoint = self.contention is ContentionMode.ENDPOINT
+        self._contended = self.contention is not ContentionMode.NONE
+        self._links = self.contention is ContentionMode.LINKS
         self._n = plan.num_nodes
         sim._slot_network = self
 
     def attach_trace(self, sink) -> None:
         """Record every port hold into ``sink`` from the slot records."""
         self.obs = sink
-        #: Resource names, exactly the reference ``Resource`` names.
-        self._port_names = [
-            f"inject[{port // 2}]" if port % 2 else f"eject[{port // 2}]"
-            for port in range(self.plan.num_ports)
-        ]
 
     # -- lowered transfer path -------------------------------------------------
     def transfer_matched(self, src: int, dst: int, pending, recv_req) -> None:
@@ -347,30 +318,52 @@ class LoweredNetwork(Network):
         record.recv = recv_req
         record.nbytes = nbytes
 
-        if src != dst and self._endpoint:
-            record.stage = _START
-            record.port1 = 2 * dst  # ejection port (acquired first)
-            record.port2 = 2 * src + 1  # injection port
-            # Memo hit inline (the overwhelmingly common case in steady
-            # state); misses fill the memo through _edge_hold.
-            by_size = self._edge_memo.get(src * self._n + dst)
+        record.stage = _ACQ
+        if src != dst and self._contended:
+            # Memo hits inline (the overwhelmingly common case in steady
+            # state); misses fill the memos through _route_ports and
+            # _edge_hold.  The two endpoint ports cost less to pair than a
+            # memo probe, so only LINKS routes are memoized.
+            edge = src * self._n + dst
+            if self._links:
+                ports = self._edge_ports.get(edge)
+                if ports is None:
+                    ports = self._route_ports(src, dst)
+            else:
+                ports = (2 * dst, 2 * src + 1)  # ejection, then injection
+            record.ports = ports
+            record.left = len(ports)
+            by_size = self._edge_memo.get(edge)
             hold = by_size.get(nbytes) if by_size is not None else None
             record.hold = (
                 hold if hold is not None else self._edge_hold(src, dst, nbytes)
             )
-        elif src == dst:
-            # On-node copy: same two-event shape as the reference
-            # (deferral, then the copy delay), no ports.
-            record.stage = _DELAY
-            record.hold = self.plan.per_byte_s * nbytes
         else:
-            record.stage = _DELAY
-            record.hold = self._edge_delay_none(src, dst, nbytes)
+            # On-node copy, or NONE contention: no ports, so the record
+            # has the reference's two-event shape (deferral, then delay).
+            record.ports = ()
+            record.left = 0
+            record.hold = (
+                self.plan.per_byte_s * nbytes if src == dst
+                else self._edge_delay_none(src, dst, nbytes)
+            )
         # The deferral: one sequence number, exactly like the reference's
         # pooled_timeout(0.0) — same-timestamp operations posted earlier
         # keep their place in the schedule.
         sim._seq += 1
         heappush(sim._queue, (sim._now, 1, sim._seq, record))
+
+    def _route_ports(self, src: int, dst: int) -> tuple:
+        """The ports a ``src -> dst`` transfer holds under LINKS contention,
+        memoized: ejection, injection and the XY route's links, in the
+        reference acquire order — sorted by resource name, so the two
+        endpoint ports lead and ``link[10->11]`` precedes ``link[9->10]``."""
+        link_ports = self.plan.link_ports
+        ports = [2 * dst, 2 * src + 1]
+        ports.extend(link_ports[l.src, l.dst] for l in self.mesh.route(src, dst))
+        ports.sort(key=self._port_names.__getitem__)
+        ports = self._edge_ports[src * self._n + dst] = tuple(ports)
+        return ports
 
     def _edge_hold(self, src: int, dst: int, nbytes: int) -> float:
         """Header + occupancy for one (src, dst, nbytes) edge, memoized."""

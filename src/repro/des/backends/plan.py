@@ -49,8 +49,9 @@ class EnginePlan:
     backend: str
     contention: ContentionMode
     num_nodes: int
-    #: Ports are numbered ``eject(node) = 2*node``, ``inject(node) = 2*node+1``
-    #: (two per node, ENDPOINT contention).
+    #: Ports are numbered ``eject(node) = 2*node``, ``inject(node) = 2*node+1``;
+    #: under LINKS contention every directed mesh link follows (see
+    #: ``link_ports``).
     num_ports: int
     #: (N, N) int32 Manhattan hop counts between node pairs.
     hops: np.ndarray
@@ -67,6 +68,9 @@ class EnginePlan:
     #: Memo of per-size port occupancy times (nbytes -> seconds), shared by
     #: the network so repeated message sizes cost one dict probe.
     occupancy_memo: dict = field(default_factory=dict)
+    #: LINKS contention only: directed mesh link ``(src, dst)`` -> port,
+    #: numbered from ``2*num_nodes`` in :meth:`Mesh2D.all_links` order.
+    link_ports: dict = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -94,17 +98,22 @@ class EnginePlan:
         # Exactly Network._begin_transfer's ``startup_s + per_hop_s * hops``:
         # one float64 multiply and one add per element, no reassociation.
         header = cost.startup_s + cost.per_hop_s * hops.astype(np.float64)
+        link_ports = {}
+        if contention is ContentionMode.LINKS:
+            for link in mesh.all_links():
+                link_ports[link.src, link.dst] = 2 * n + len(link_ports)
         return cls(
             backend=backend,
             contention=contention,
             num_nodes=n,
-            num_ports=2 * n,
+            num_ports=2 * n + len(link_ports),
             hops=np.ascontiguousarray(hops),
             header_s=np.ascontiguousarray(header),
             startup_s=cost.startup_s,
             per_byte_s=cost.per_byte_s,
             per_hop_s=cost.per_hop_s,
             build_seconds=time.perf_counter() - t0,
+            link_ports=link_ports,
         )
 
     # -- port numbering ---------------------------------------------------------
@@ -115,3 +124,14 @@ class EnginePlan:
     @staticmethod
     def inject_port(node: int) -> int:
         return 2 * node + 1
+
+    def port_names(self) -> list[str]:
+        """Every port's name, indexed by port: exactly the reference
+        network's ``Resource`` names (``eject[n]``, ``inject[n]``,
+        ``link[a->b]``), which order its acquires and label its trace."""
+        names = [
+            f"inject[{port // 2}]" if port % 2 else f"eject[{port // 2}]"
+            for port in range(2 * self.num_nodes)
+        ]
+        names.extend(f"link[{a}->{b}]" for a, b in self.link_ports)
+        return names

@@ -14,8 +14,12 @@ Three contention fidelities are offered (``ContentionMode``):
 ``LINKS``
     Additionally holds every link of the XY route for the serialization
     time (wormhole-style pipelining is approximated by holding all links
-    simultaneously rather than store-and-forward).  Expensive but useful for
-    small-mesh studies of route interference.
+    simultaneously rather than store-and-forward).  Useful for studies of
+    route interference; a message costs one more event per route link.
+
+:class:`Network` is the reference implementation: resources and callback
+chains, the checker the plan-lowered network
+(:class:`~repro.des.backends.LoweredNetwork`) is compared against.
 """
 
 from __future__ import annotations
@@ -41,11 +45,6 @@ class ContentionMode(enum.Enum):
 class Network:
     """Simulated interconnect bound to a :class:`Simulator` and a mesh."""
 
-    #: Which transfer implementation runs this network's messages:
-    #: ``"reference"`` (this class's callback chain) or ``"lowered"``
-    #: (slot records).  Reported by perf and the ``des_*`` metrics.
-    transfer_path = "reference"
-
     def __init__(
         self,
         sim: Simulator,
@@ -60,11 +59,6 @@ class Network:
         self._inject: dict[int, Resource] = {}
         self._eject: dict[int, Resource] = {}
         self._links: dict[Link, Resource] = {}
-        # Per-pair route state ((src, dst) -> (holds, header latency)) and
-        # per-size serialization times: both are pure functions of static
-        # inputs, recomputed ~10^5 times per run without these caches.
-        self._route_cache: dict[tuple[int, int], tuple[list, float]] = {}
-        self._occupancy_cache: dict[int, float] = {}
         #: Counters for diagnostics / tests.
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -147,33 +141,21 @@ class Network:
             delay.callbacks.append(lambda _ev: done.succeed())
             return
 
-        occupancy = self._occupancy_cache.get(nbytes)
-        if occupancy is None:
-            occupancy = self._occupancy_cache[nbytes] = self.cost.occupancy(nbytes)
-
         if self.contention is ContentionMode.NONE:
             hops = self.mesh.hop_distance(src, dst)
             delay = sim.pooled_timeout(self.cost.point_to_point(nbytes, hops))
             delay.callbacks.append(lambda _ev: done.succeed())
             return
 
-        route = self._route_cache.get((src, dst))
-        if route is None:
-            hops = self.mesh.hop_distance(src, dst)
-            if self.contention is ContentionMode.ENDPOINT:
-                # Canonical acquire order is by resource name; "eject[...]"
-                # sorts before "inject[...]", so the pair needs no sort call.
-                holds = [self._ejection_port(dst), self._injection_port(src)]
-            else:
-                holds = [self._injection_port(src), self._ejection_port(dst)]
-                holds.extend(self._link(l) for l in self.mesh.route(src, dst))
-                # Acquire in a canonical order (by resource name) so that two
-                # messages over overlapping routes cannot deadlock.
-                holds.sort(key=lambda r: r.name)
-            header = self.cost.startup_s + self.cost.per_hop_s * hops
-            route = self._route_cache[(src, dst)] = (holds, header)
-        holds, header = route
-
+        holds = [self._injection_port(src), self._ejection_port(dst)]
+        if self.contention is ContentionMode.LINKS:
+            holds.extend(self._link(l) for l in self.mesh.route(src, dst))
+        # Acquire in a canonical order (by resource name) so that two
+        # messages over overlapping routes cannot deadlock.
+        holds.sort(key=lambda r: r.name)
+        hops = self.mesh.hop_distance(src, dst)
+        header = self.cost.startup_s + self.cost.per_hop_s * hops
+        occupancy = self.cost.occupancy(nbytes)
         hold_time = header + occupancy
         index = 0
 
@@ -199,13 +181,12 @@ class Network:
         """Feed per-resource holds to a :class:`~repro.obs.TraceSink`.
 
         Only the lowered transfer path records link holds; the reference
-        path is a plain checker and refuses rather than run untraced.
+        network is a plain checker and refuses rather than run untraced.
         """
         raise ConfigurationError(
-            f"network tracing needs the lowered transfer path, but this run "
-            f"uses the reference one (backend={self.sim.backend!r}, "
-            f"contention={self.contention.value!r}); trace with the "
-            f"default lowered backend and 'none' or 'endpoint' contention"
+            "network tracing needs the lowered transfer path, but this run "
+            f"uses the reference network (backend={self.sim.backend!r}); "
+            "trace with the default lowered backend"
         )
 
     # -- diagnostics ------------------------------------------------------------

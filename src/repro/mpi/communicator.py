@@ -35,7 +35,7 @@ import numpy as np
 from repro.des import Simulator
 from repro.des.backends.plan import TAG_BITS, TAG_LIMIT
 from repro.des.event import PENDING, TRIGGERED
-from repro.errors import MPIError
+from repro.errors import ConfigurationError, MPIError
 from repro.machine.network import Network
 from repro.machine.paragon import Machine
 from repro.mpi.datatypes import Message, payload_nbytes, ANY_SOURCE, ANY_TAG
@@ -80,9 +80,11 @@ class World:
         posting time (buffered eager protocol).
     backend:
         Simulator backend: an :class:`~repro.des.backends.EngineBackend`
-        instance, a backend name, or None to match the simulator's own
-        backend (a plain :class:`Simulator` keeps the reference network
-        and matcher, so existing call sites are unchanged).
+        instance, a backend name, or None for the simulator's own backend
+        (a plain :class:`Simulator` keeps the reference network and
+        matcher, so existing call sites are unchanged).  A backend that is
+        not the simulator's own is a ``ConfigurationError``: each core
+        runs only its own network.
     """
 
     def __init__(
@@ -104,6 +106,12 @@ class World:
         self.machine = machine
         if not isinstance(backend, EngineBackend):
             backend = get_backend(backend if backend is not None else sim.backend)
+        if backend.name != sim.backend:
+            raise ConfigurationError(
+                f"backend {backend.name!r} cannot drive a {sim.backend!r} "
+                f"simulator; create the simulator with "
+                f"get_backend({backend.name!r}).create_simulator()"
+            )
         self.backend = backend.name
         #: Lowered per-run tables (None on the reference backend).
         self.engine_plan = timed_plan(

@@ -467,11 +467,9 @@ def record_pipeline_run(
     reg = metrics_registry if registry is None else registry
     if not reg.enabled:
         return
-    # Which core ran, and which transfer path it took (the lowered core
-    # falls back to the reference path under LINKS contention).
+    # Which core ran; each core has one transfer path.
     engine = {
         "backend": getattr(world, "backend", getattr(sim, "backend", "python")),
-        "transfer_path": world.network.transfer_path,
     }
 
     # DES engine.

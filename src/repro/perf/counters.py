@@ -11,9 +11,8 @@ def snapshot_counters(sim, world=None) -> dict:
     The simulator and world are fresh per run and count from zero, so one
     reading after the run is what the run cost; its keys are
     :class:`PerfReport` fields.  Besides counters, the snapshot records
-    which simulator backend ran, which transfer path its network took
-    (``lowered`` slot records or the ``reference`` callback chain; empty
-    without a world), and how long its
+    which simulator backend ran (which names its transfer path: ``lowered``
+    slot records, or the ``python`` reference network) and how long its
     :class:`~repro.des.backends.plan.EnginePlan` took to build (zero for
     the reference engine, which lowers nothing).
     """
@@ -27,7 +26,6 @@ def snapshot_counters(sim, world=None) -> dict:
         "network_messages": 0,
         "network_bytes": 0,
         "backend": getattr(sim, "backend", "python"),
-        "transfer_path": "",
         "plan_build_seconds": 0.0,
     }
     if world is not None:
@@ -41,7 +39,6 @@ def snapshot_counters(sim, world=None) -> dict:
             network_messages=world.network.messages_sent,
             network_bytes=world.network.bytes_sent,
             backend=getattr(world, "backend", counters["backend"]),
-            transfer_path=world.network.transfer_path,
             plan_build_seconds=plan.build_seconds if plan is not None else 0.0,
         )
     return counters
@@ -69,12 +66,10 @@ class PerfReport:
     wildcard_hits: int = 0
     network_messages: int = 0
     network_bytes: int = 0
-    #: Which simulator core ran (``python`` / ``lowered``).
+    #: Which simulator core ran, and so which transfer implementation
+    #: carried the messages: ``lowered`` (slot records, every contention
+    #: mode) or ``python`` (the reference network).
     backend: str = ""
-    #: Which transfer implementation carried the messages: ``lowered``
-    #: slot records, or the ``reference`` path (the python backend, and the
-    #: lowered backend's LINKS-contention and engine-tracer fallbacks).
-    transfer_path: str = ""
     #: Wall seconds spent building the backend's :class:`EnginePlan`
     #: tables before the run (zero for the reference engine).
     plan_build_seconds: float = 0.0
@@ -156,7 +151,6 @@ class PerfReport:
             "network_messages": self.network_messages,
             "network_bytes": self.network_bytes,
             "backend": self.backend,
-            "transfer_path": self.transfer_path,
             "plan_build_seconds": self.plan_build_seconds,
             "events_per_second": self.events_per_second,
             "probes_per_message": self.probes_per_message,
@@ -179,8 +173,6 @@ class PerfReport:
                 f"engine backend     {self.backend:>10s}"
                 f"   ({self.plan_build_seconds * 1e3:10.1f} ms plan build)"
             )
-        if self.transfer_path:
-            lines.append(f"transfer path      {self.transfer_path:>10s}")
         # Zero-valued counters are printed, not omitted: a silent omission
         # makes a before/after diff read as "unchanged" when the counter
         # actually collapsed to zero.

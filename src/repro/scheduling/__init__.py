@@ -17,8 +17,8 @@ response time."  This package provides:
 * :mod:`repro.scheduling.pareto` — throughput-vs-latency Pareto fronts as
   versioned JSON artifacts;
 * :mod:`repro.scheduling.tuner` — simulation-in-the-loop assignment
-  search: analytic prescreen, then cached/parallel simulator refinement,
-  heterogeneous-machine aware.
+  search: analytic prescreen over single-node :class:`Move` neighborhoods,
+  then cached/parallel simulator refinement, heterogeneous-machine aware.
 """
 
 from repro.scheduling.model import AnalyticPipelineModel, TaskTimeModel
@@ -28,19 +28,16 @@ from repro.scheduling.optimizer import (
     exhaustive_search,
 )
 from repro.scheduling.bottleneck import BottleneckReport, analyze_bottleneck
-from repro.scheduling.reallocation import Move, ReallocationPlan, plan_reallocation
 from repro.scheduling.pareto import (
     PARETO_SCHEMA,
     ParetoFront,
     ParetoPoint,
     pareto_front,
 )
-from repro.scheduling.tuner import TuneResult, TunerConfig, tune
+from repro.scheduling.tuner import Move, TuneResult, TunerConfig, tune
 
 __all__ = [
     "Move",
-    "ReallocationPlan",
-    "plan_reallocation",
     "AnalyticPipelineModel",
     "TaskTimeModel",
     "optimize_throughput",

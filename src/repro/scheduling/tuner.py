@@ -10,7 +10,7 @@ cheap prescreen:
    latency at several throughput floors), a heterogeneity-aware greedy,
    and any caller-provided assignments (the paper's Table 7 cases).
 2. **Expand** a neighborhood around the analytic frontier — every
-   single-node donor→recipient :class:`~repro.scheduling.reallocation.Move`
+   single-node donor→recipient :class:`Move`
    plus single-node growth while under budget — scoring each candidate
    with the heterogeneity-aware analytic predictions and pruning
    dominated points.  This loop touches thousands of assignments per
@@ -43,7 +43,6 @@ from repro.radar.parameters import STAPParams
 from repro.scheduling.model import AnalyticPipelineModel
 from repro.scheduling.optimizer import _limits, optimize_latency, optimize_throughput
 from repro.scheduling.pareto import ParetoFront, ParetoPoint, pareto_front
-from repro.scheduling.reallocation import Move
 
 #: Tuning objectives.
 OBJECTIVES = ("throughput", "latency", "pareto")
@@ -55,6 +54,17 @@ MIN_SIM_CPIS = 8
 #: Throughput floors (fractions of the greedy-throughput optimum) at
 #: which latency-objective seeds are generated.
 _SEED_FLOORS = (0.5, 0.8, 0.95)
+
+
+@dataclass(frozen=True)
+class Move:
+    """One neighborhood step: move a single node between tasks."""
+
+    from_task: str
+    to_task: str
+
+    def __str__(self) -> str:
+        return f"{self.from_task} -> {self.to_task}"
 
 
 @dataclass(frozen=True)

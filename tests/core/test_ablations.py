@@ -131,16 +131,23 @@ class TestReplication:
 
     def test_runs_on_the_lowered_transfer_path(self, params, assignment, monkeypatch):
         """The replicated pipeline runs on the default core, so no message
-        takes the reference network's transfer path; the numbers are the
-        reference engine's, repr-exact."""
+        takes the reference network's transfer path, under ENDPOINT or
+        LINKS contention; the numbers are the reference engine's,
+        repr-exact."""
 
         def refuse(*_args):
             raise AssertionError("replicated run left the slot-record path")
 
         monkeypatch.setattr(Network, "_begin_transfer", refuse)
-        result = ReplicatedSTAPPipeline(params, assignment, 2, num_cpis=8).run()
-        assert repr(result.aggregate_throughput) == "101.20367815736489"
-        assert repr(result.latency) == "0.06765075675841323"
+        for contention, throughput, latency in [
+            ("endpoint", "101.20367815736489", "0.06765075675841323"),
+            ("links", "101.20367815736495", "0.06822592715841323"),
+        ]:
+            result = ReplicatedSTAPPipeline(
+                params, assignment, 2, num_cpis=8, contention=contention
+            ).run()
+            assert repr(result.aggregate_throughput) == throughput
+            assert repr(result.latency) == latency
 
     def test_node_budget_enforced(self, params, assignment):
         # 2 x 24 = 48 nodes cannot fit a 25-node machine.

@@ -49,6 +49,7 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import CACHE_SCHEMA, cache_key, engine_fingerprint
 from repro.exec.point import SimPoint
 from repro.machine import afrl_paragon
+from repro.machine.network import Network
 from repro.mpi import ANY_SOURCE, ANY_TAG, World
 from repro.obs import TraceSink
 
@@ -96,6 +97,16 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="one World per simulator"):
             World(sim, afrl_paragon(), num_ranks=2, backend=engine)
 
+    def test_lowered_backend_on_a_reference_simulator_is_an_error(self):
+        # It used to report "lowered" while running the reference network.
+        with pytest.raises(ConfigurationError, match="cannot drive a 'python'"):
+            World(Simulator(), afrl_paragon(), num_ranks=2, backend="lowered")
+
+    def test_python_backend_on_the_lowered_simulator_is_an_error(self):
+        sim = get_backend("lowered").create_simulator()
+        with pytest.raises(ConfigurationError, match="cannot drive a 'lowered'"):
+            World(sim, afrl_paragon(), num_ranks=2, backend="python")
+
     def test_simpoint_validates_backend_names(self):
         with pytest.raises(ConfigurationError, match="unknown simulator backend"):
             SimPoint(STAPParams.small(), CASE3, backend="fortran")
@@ -118,6 +129,19 @@ class TestEnginePlan:
         assert plan.hops.shape == plan.header_s.shape == (n, n)
         assert EnginePlan.eject_port(7) == 14
         assert EnginePlan.inject_port(7) == 15
+
+    def test_links_plan_numbers_every_mesh_link_after_the_endpoints(self, machine):
+        mesh = machine.mesh
+        plan = EnginePlan.build(mesh, machine.network_cost, "links")
+        links = [(link.src, link.dst) for link in mesh.all_links()]
+        n = mesh.num_nodes
+        assert plan.num_ports == 2 * n + len(links)
+        assert list(plan.link_ports) == links
+        assert list(plan.link_ports.values()) == list(range(2 * n, plan.num_ports))
+        names = plan.port_names()
+        assert names[:2] == ["eject[0]", "inject[0]"]
+        a, b = links[0]
+        assert names[2 * n] == f"link[{a}->{b}]"
 
     def test_hops_match_mesh_hop_distance(self, plan, machine):
         mesh = machine.mesh
@@ -200,6 +224,38 @@ class TestGoldenCase1:
             result.metrics.measured_latency,
             reference.metrics.measured_latency,
         )
+
+
+class TestLinksContention:
+    """Paper Table 7 case 3 under LINKS contention: the default core holds
+    every route link in its slot records (the reference network's
+    transfer path never runs) and reproduces the reference engine."""
+
+    @staticmethod
+    def _run(backend):
+        return STAPPipeline(
+            STAPParams.paper(), CASE3, num_cpis=10, contention="links",
+            backend=backend, perf=True,
+        ).run()
+
+    def test_default_core_is_bit_identical_to_reference(self, monkeypatch):
+        reference = self._run("python")
+
+        def refuse(*_args):
+            raise AssertionError("LINKS run left the slot-record path")
+
+        monkeypatch.setattr(Network, "_begin_transfer", refuse)
+        result = self._run(None)
+        assert result.perf.backend == "lowered"
+        assert repr(result.makespan) == repr(reference.makespan)
+        assert repr(result.metrics.measured_throughput) == repr(
+            reference.metrics.measured_throughput
+        )
+        assert repr(result.metrics.measured_latency) == repr(
+            reference.metrics.measured_latency
+        )
+        assert repr(result.metrics.tasks) == repr(reference.metrics.tasks)
+        assert result.perf.events_processed == reference.perf.events_processed
 
 
 class TestFunctionalParity:
@@ -290,7 +346,7 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard,
     """One random program on one backend; returns its full observable trace.
 
     Message sizes straddle the eager threshold so both transfer protocols
-    (and, under ENDPOINT contention, port queueing) are exercised.
+    (and, under ENDPOINT and LINKS contention, port queueing) are exercised.
     ``traced`` attaches a :class:`TraceSink` to the world (lowered only).
     """
     sends_by_rank = defaultdict(list)
@@ -349,7 +405,7 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard,
 class TestBackendEquivalence:
     @given(
         traffic_patterns(),
-        st.sampled_from(("none", "endpoint")),
+        st.sampled_from(("none", "endpoint", "links")),
         st.booleans(),
         st.sampled_from(("run", "until", "step")),
         st.booleans(),

@@ -13,6 +13,7 @@ from repro.core.assignment import CASE3, TASK_NAMES
 from repro.des import Simulator
 from repro.errors import ConfigurationError
 from repro.machine.network import Network
+from repro.mpi import World
 from repro.obs import (
     MessageRecord,
     Span,
@@ -285,9 +286,48 @@ class TestLinkStatsGolden:
             key: golden[key] for key in ("makespan", "link_stats", "link_intervals")
         }
 
+    def test_traced_links_run_matches_the_reference_resources(self, monkeypatch):
+        """LINKS contention, traced on the default core: one stat per port
+        and route link the reference network held, each with exactly that
+        ``Resource``'s grant count and total wait."""
+        worlds = []
+        init = World.__init__
+
+        def recording_init(world, *args, **kwargs):
+            init(world, *args, **kwargs)
+            worlds.append(world)
+
+        monkeypatch.setattr(World, "__init__", recording_init)
+        STAPPipeline(
+            STAPParams.small(), CASE3, num_cpis=3, contention="links",
+            backend="python",
+        ).run()
+        network = worlds[0].network
+        resources = [
+            *network._inject.values(), *network._eject.values(),
+            *network._links.values(),
+        ]
+        expected = {
+            r.name: (r.total_grants, repr(r.total_wait_time)) for r in resources
+        }
+
+        def refuse(*_args):
+            raise AssertionError("traced run left the slot-record path")
+
+        monkeypatch.setattr(Network, "_begin_transfer", refuse)
+        sink = STAPPipeline(
+            STAPParams.small(), CASE3, num_cpis=3, contention="links",
+            trace=True,
+        ).run().trace
+        got = {
+            name: (s.messages, repr(s.wait_seconds))
+            for name, s in sink.link_stats.items()
+        }
+        assert got == expected
+        assert any(name.startswith("link[") for name in got)
+
     @pytest.mark.parametrize(
-        "config", [{"backend": "python"}, {"contention": "links"}],
-        ids=["python-backend", "links-contention"],
+        "config", [{"backend": "python"}], ids=["python-backend"],
     )
     def test_traced_reference_path_is_a_configuration_error(self, config):
         pipeline = STAPPipeline(

@@ -65,46 +65,45 @@ class TestCounters:
             "network_messages",
             "network_bytes",
             "backend",
-            "transfer_path",
             "plan_build_seconds",
         }
         # Counters start at zero; the meta keys identify the run instead.
         assert all(
             v == 0
             for k, v in snap.items()
-            if k not in ("backend", "transfer_path", "plan_build_seconds")
+            if k not in ("backend", "plan_build_seconds")
         )
         assert snap["backend"] == "python"
-        assert snap["transfer_path"] == "reference"
         assert snap["plan_build_seconds"] == 0.0
         # Simulator-only snapshot still carries every key.
         assert set(snapshot_counters(sim)) == set(snap)
 
 
 class TestTransferPath:
-    """Perf names the transfer implementation that actually ran, so a
-    fallback to the reference path is visible rather than silent."""
+    """Perf names the core that actually ran, and each core has one
+    transfer path: the default core's slot records in every contention
+    mode, the reference network on the python backend."""
 
     @pytest.mark.parametrize(
-        "backend, contention, path",
+        "backend, contention, core",
         [
             (None, "endpoint", "lowered"),
             (None, "none", "lowered"),
-            (None, "links", "reference"),
-            ("python", "endpoint", "reference"),
+            (None, "links", "lowered"),
+            ("python", "endpoint", "python"),
         ],
     )
     def test_perf_reports_the_transfer_path_that_ran(
-        self, backend, contention, path
+        self, backend, contention, core
     ):
         report = STAPPipeline(
             STAPParams.tiny(), TINY_ASSIGNMENT, num_cpis=2, perf=True,
             contention=contention, backend=backend,
         ).run().perf
-        assert report.backend == (backend or "lowered")
-        assert report.transfer_path == path
-        assert report.to_dict()["transfer_path"] == path
-        assert f"transfer path      {path:>10s}" in report.summary()
+        assert report.backend == core
+        assert report.to_dict()["backend"] == core
+        assert "transfer_path" not in report.to_dict()
+        assert f"engine backend     {core:>10s}" in report.summary()
 
 
 class TestPerfReport:
@@ -156,7 +155,7 @@ class TestPerfReport:
         assert report.match_probes == world.match_probes
         assert report.network_messages == world.network.messages_sent == 1
         assert report.network_bytes == world.network.bytes_sent
-        assert (report.backend, report.transfer_path) == ("python", "reference")
+        assert report.backend == "python"
         assert report.label == "x"
 
     def test_to_dict_and_summary(self):
