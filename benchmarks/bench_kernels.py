@@ -15,7 +15,8 @@ functional chain before/after.  Four sections, beside the host's
   over the kernel threads (with the chunk count the split used), so the
   single-core gain and the threading gain each show on their own;
 * **counters** — per-kernel host seconds and achieved flops/s from
-  :mod:`repro.perf.kernels`, against the paper's Table 1 counts;
+  :mod:`repro.perf.kernels`, against the paper's Table 1 counts, each the
+  fastest of :data:`COUNTER_PASSES` passes;
 * **end_to_end** — the sequential reference and the functional pipeline
   over pre-generated CPI cubes (cube synthesis excluded from the timing),
   run once with the loop kernels patched in and once batched, detections
@@ -68,6 +69,11 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 #: CPIs per end-to-end measurement (azimuth revisits included).
 NUM_CPIS = 6
 
+#: Reference passes behind each kernel counter row, which keeps the
+#: fastest: one pass of a sub-millisecond detection kernel (CFAR, pulse
+#: compression, beamforming at small scale) is a single noisy sample.
+COUNTER_PASSES = 5
+
 #: Functional-pipeline node assignment (modest: the numerics dominate).
 FUNCTIONAL_COUNTS = (2, 1, 2, 1, 1, 1, 1)
 
@@ -90,13 +96,20 @@ def bench_scenario() -> RadarScenario:
 
 
 # -- loop-mode patching ----------------------------------------------------------
-def _update_r_units_loop(state, training, forget):
+def _compute_easy_weights_loop(stacked, steering, kappa, workspace=None):
+    """:func:`ew.compute_easy_weights_loop` with the batched kernel's
+    signature (a loop allocates its own arrays)."""
+    return ew.compute_easy_weights_loop(stacked, steering, kappa)
+
+
+def _update_r_units_loop(state, training, forget, workspace=None):
     """Per-unit loop equivalent of :func:`hw.update_r_units`."""
     for idx in range(state.shape[0]):
         state[idx] = qr_append_rows(state[idx], training[idx], forget=forget)
 
 
-def _compute_hard_weights_units_loop(state, steering, phases, beam_weight, freq_weight):
+def _compute_hard_weights_units_loop(state, steering, phases, beam_weight, freq_weight,
+                                     workspace=None):
     """Per-unit loop equivalent of :func:`hw.compute_hard_weights_units`."""
     n2 = state.shape[1]
     J = n2 // 2
@@ -127,7 +140,7 @@ def loop_kernels():
         (hw, "update_r_units", hw.update_r_units),
         (hw, "compute_hard_weights_units", hw.compute_hard_weights_units),
     ]
-    ew.compute_easy_weights = ew.compute_easy_weights_loop
+    ew.compute_easy_weights = _compute_easy_weights_loop
     hw.update_r_units = _update_r_units_loop
     hw.compute_hard_weights_units = _compute_hard_weights_units_loop
     try:
@@ -324,15 +337,23 @@ def bench_functional_pipeline(params: STAPParams, num_cpis: int = NUM_CPIS) -> d
     }
 
 
-def bench_kernel_metrics(params: STAPParams, num_cpis: int = NUM_CPIS) -> dict:
-    """Per-kernel seconds and achieved flops/s over a batched reference run."""
+def bench_kernel_metrics(params: STAPParams, num_cpis: int = NUM_CPIS,
+                         passes: int = COUNTER_PASSES) -> dict:
+    """Per-kernel seconds and achieved flops/s over batched reference runs:
+    each kernel's row is its fastest of ``passes`` passes over the cubes."""
     cubes = CPIStream(params, bench_scenario()).take(num_cpis)
-    with metrics_registry.collect():
-        SequentialSTAP(params).process_stream(cubes)
-    snapshot = metrics_registry.snapshot()
-    metrics_registry.reset()
-    print(kernel_summary(snapshot, title=f"kernel counters ({num_cpis} CPIs)"))
-    return achieved_vs_table1(snapshot, num_cpis=num_cpis)
+    best: dict = {}
+    for _ in range(passes):
+        with metrics_registry.collect():
+            SequentialSTAP(params).process_stream(cubes)
+        snapshot = metrics_registry.snapshot()
+        metrics_registry.reset()
+        for name, row in achieved_vs_table1(snapshot, num_cpis=num_cpis).items():
+            if name not in best or row["seconds"] < best[name]["seconds"]:
+                best[name] = row
+    print(kernel_summary(
+        snapshot, title=f"kernel counters ({num_cpis} CPIs, last of {passes} passes)"))
+    return best
 
 
 def measure_all(params: STAPParams, scale: str, num_cpis: int = NUM_CPIS) -> dict:

@@ -44,6 +44,7 @@ from repro.radar.parameters import STAPParams
 from repro.stap.detection import DetectionReport
 from repro.stap.plan import KernelPlan
 from repro.stap.reference import default_steering
+from repro.stap.workspace import Workspace
 
 #: Raw cubes kept alive at once in functional mode (double buffering means
 #: neighbouring iterations are in flight together; 6 is comfortably safe).
@@ -231,6 +232,7 @@ class STAPPipeline:
             double_buffering=self.double_buffering,
             obs=self.trace_sink,
             plan=self.kernel_plan,
+            workspace=Workspace() if self.functional else None,
         )
         cost = self.machine.network_cost
         pack = self.machine.packing_cost

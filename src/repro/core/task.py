@@ -100,6 +100,7 @@ class PipelineTask(abc.ABC):
         double_buffering: bool = True,
         obs=None,
         plan=None,
+        workspace=None,
     ):
         self.layout = layout
         self.params = layout.params
@@ -129,6 +130,12 @@ class PipelineTask(abc.ABC):
         #: iteration records its span tree (one ``is None`` check per
         #: iteration when off — the timestamps are read either way).
         self._obs = obs
+        #: Optional :class:`~repro.stap.workspace.Workspace` shared by the
+        #: functional tasks of one simulation: it runs one task's compute
+        #: at a time, and a task passes the workspace only to kernels whose
+        #: arrays it has used up before compute returns (never to those
+        #: whose output it sends).
+        self.workspace = workspace
         # Per-edge lookups reused every iteration (lazily built: an edge's
         # receive sources and unpack charge are static for a given rank).
         self._recv_sources_cache: Dict[str, list] = {}

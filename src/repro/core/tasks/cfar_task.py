@@ -58,6 +58,7 @@ class CfarTask(PipelineTask):
         for src, payload in received.get("pc_to_cfar", {}).items():
             power[self._pc_msgs[src].dst_pos] = payload
         self._latest_detections = cfar_detect(
-            power, self.params, bin_ids=self.bins, factor=self.plan.cfar_factor
+            power, self.params, bin_ids=self.bins, factor=self.plan.cfar_factor,
+            workspace=self.workspace,
         )
         return []

@@ -76,8 +76,9 @@ class EasyBeamformTask(PipelineTask):
                 descriptor = self._w_msgs[src]
                 weights[descriptor.dst_pos] = payload
 
-        # ``beamformed`` is freshly allocated each CPI, so the send payloads
-        # may alias it: in-flight slices are never clobbered.
+        # ``beamformed`` is freshly allocated each CPI (no workspace), so
+        # the send payloads may alias it: in-flight slices are never
+        # clobbered.
         beamformed = beamform_easy(dop, weights, self.params)
         messages = [
             (m, beamformed[m.src_pos]) for m in plan.sends_of(self.local_rank)

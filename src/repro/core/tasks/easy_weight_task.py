@@ -32,7 +32,9 @@ class EasyWeightTask(PipelineTask):
         partition = self.layout.easy_weight_bins
         self.bins = partition.ids_of(self.local_rank)
         if self.functional:
-            self.computer = EasyWeightComputer(self.plan, self.bins)
+            self.computer = EasyWeightComputer(
+                self.plan, self.bins, workspace=self.workspace
+            )
         # Per-source message descriptors for assembly.
         plan = self.layout.plan("dop_to_easy_weight")
         self._recv_msgs = {m.src: m for m in plan.recvs_of(self.local_rank)}

@@ -79,8 +79,9 @@ class HardBeamformTask(PipelineTask):
                 # payload: (units, 2J, M) per-(segment, bin) weight vectors.
                 weights[descriptor.segments, descriptor.dst_bin_pos] = payload
 
-        # ``beamformed`` is freshly allocated each CPI: the send payloads
-        # below alias it while in flight under double buffering.
+        # ``beamformed`` is freshly allocated each CPI (no workspace): the
+        # send payloads below alias it while in flight under double
+        # buffering.
         beamformed = beamform_hard(dop, weights, self.params)
         messages = [
             (m, beamformed[m.src_pos]) for m in plan.sends_of(self.local_rank)

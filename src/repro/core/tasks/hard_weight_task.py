@@ -38,7 +38,9 @@ class HardWeightTask(PipelineTask):
         _bin_pos, unit_segments = partition.decompose(self.units)
         self.unit_bins = partition.bins_of_units(self.units)
         if self.functional:
-            self.computer = HardWeightComputer(self.plan, self.unit_bins)
+            self.computer = HardWeightComputer(
+                self.plan, self.unit_bins, workspace=self.workspace
+            )
             # Training assembly buffer, reused across CPIs (the computer
             # absorbs it before compute returns): the incoming segments
             # write the same row positions every iteration, so no stale

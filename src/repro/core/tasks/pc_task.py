@@ -63,7 +63,8 @@ class PulseCompressionTask(PipelineTask):
             beams[self._hard_msgs[src].dst_pos] = payload
 
         # ``power`` is a fresh cube each CPI (pulse_compress_block allocates
-        # its output), so in-flight send payloads may safely alias it.
+        # its output without a workspace), so in-flight send payloads may
+        # safely alias it.
         power = pulse_compress_block(beams, self.params, self.plan.replica_freq)
         messages = [
             (m, power[m.src_pos]) for m in plan.sends_of(self.local_rank)

@@ -9,7 +9,11 @@ reference's memory layout: the channels carry the blocks the reference
 materializes (``staggered[easy_bins]``, training extracts, weight
 tensors), and consumers take the same views of them (``[:, :J, :]``).
 What this module adds is transport: shared-memory channels, routing and
-the per-stage metrics.
+the per-stage metrics.  Every array a worker sends is copied into a
+channel slot, so each worker computes into its own
+:class:`~repro.stap.workspace.Workspace` and allocates no per-CPI
+cube; only the easy training block stays fresh, as the reference's
+history keeps it.
 
 Temporal weight semantics (Section 5): the weights applied to CPI ``i``
 were trained on the previous visit to the same azimuth, ``i - A`` for
@@ -42,6 +46,7 @@ from repro.stap.hard_weights import (
     segment_grid,
 )
 from repro.stap.pulse_compression import pulse_compress
+from repro.stap.workspace import Workspace
 
 
 class RtContext:
@@ -100,6 +105,7 @@ def run_doppler(ctx: RtContext, replica: int, metrics: StageMetrics) -> None:
     r_hw = plan.of("hard_weight")
     r_ebf = plan.of("easy_beamform")
     r_hbf = plan.of("hard_beamform")
+    ws = Workspace()
     for i in ctx.my_cpis("doppler", replica):
         ctx.post(("start", i, perf_counter()))
         cube = ctx.stream.cube(i)
@@ -111,9 +117,9 @@ def run_doppler(ctx: RtContext, replica: int, metrics: StageMetrics) -> None:
                 "routing requires azimuth_of(i) == i % azimuth_cycle"
             )
         clock = perf_counter()
-        staggered = doppler_filter(cube, window=kp.doppler_window)
+        staggered = doppler_filter(cube, window=kp.doppler_window, workspace=ws)
         easy_train = extract_easy_training(staggered, params)
-        hard_train = extract_hard_training(staggered, params)
+        hard_train = extract_hard_training(staggered, params, ws)
         comp = perf_counter() - clock
         # The exact blocks the sequential reference materializes with
         # fancy indexing (``staggered[bins]``, C-contiguous), gathered
@@ -143,13 +149,17 @@ def run_easy_weight(ctx: RtContext, replica: int,
     A = ctx.azimuth_cycle
     r_d = plan.of("doppler")
     r_ebf = plan.of("easy_beamform")
-    computer = EasyWeightComputer(ctx.kernel_plan)
+    computer = EasyWeightComputer(ctx.kernel_plan, workspace=Workspace())
     for s in ctx.my_cpis("easy_weight", replica):
         azimuth = s % A
         slot, view = ctx.recv("easy_train", s % r_d, replica, s, metrics)
         # The computer's history keeps the array across visits, so take
-        # ownership with a copy before handing the slot back.
-        training = np.array(view)
+        # ownership with a copy before handing the slot back.  The copy
+        # takes extract_easy_training's memory order, (rows, bins, J), not
+        # the slot's: the weights' data level sums in memory order.
+        bins, rows, channels = view.shape
+        training = np.empty((rows, bins, channels), view.dtype).transpose(1, 0, 2)
+        training[...] = view
         ctx.channel("easy_train", s % r_d, replica).release(slot)
         started = _comp_clock(metrics)
         computer.push_training(training, azimuth)
@@ -171,7 +181,7 @@ def run_hard_weight(ctx: RtContext, replica: int,
     A = ctx.azimuth_cycle
     r_d = plan.of("doppler")
     r_hbf = plan.of("hard_beamform")
-    computer = HardWeightComputer(ctx.kernel_plan)
+    computer = HardWeightComputer(ctx.kernel_plan, workspace=Workspace())
     for s in ctx.my_cpis("hard_weight", replica):
         azimuth = s % A
         slot, view = ctx.recv("hard_train", s % r_d, replica, s, metrics)
@@ -201,6 +211,7 @@ def run_easy_beamform(ctx: RtContext, replica: int,
     r_ew = plan.of("easy_weight")
     r_pc = plan.of("pulse_compression")
     cold_weights = ctx.kernel_plan.cold_easy_weights(params.easy_bins)
+    ws = Workspace()
     for i in ctx.my_cpis("easy_beamform", replica):
         azimuth = i % A
         dslot, data = ctx.recv("easy_data", i % r_d, replica, i, metrics)
@@ -212,7 +223,7 @@ def run_easy_beamform(ctx: RtContext, replica: int,
             src = azimuth % r_ew
             wslot, weights = ctx.recv("easy_w", src, replica, i, metrics)
         started = _comp_clock(metrics)
-        beams = beamform_easy(data[:, :J, :], weights, params)
+        beams = beamform_easy(data[:, :J, :], weights, params, ws)
         _comp_done(metrics, started)
         if wslot is not None:
             ctx.channel("easy_w", src, replica).release(wslot)
@@ -231,6 +242,7 @@ def run_hard_beamform(ctx: RtContext, replica: int,
     r_pc = plan.of("pulse_compression")
     cold_weights = ctx.kernel_plan.cold_hard_weights(
         segment_grid(params, params.hard_bins))
+    ws = Workspace()
     for i in ctx.my_cpis("hard_beamform", replica):
         azimuth = i % A
         dslot, data = ctx.recv("hard_data", i % r_d, replica, i, metrics)
@@ -242,7 +254,7 @@ def run_hard_beamform(ctx: RtContext, replica: int,
             src = azimuth % r_hw
             wslot, weights = ctx.recv("hard_w", src, replica, i, metrics)
         started = _comp_clock(metrics)
-        beams = beamform_hard(data, weights, params)
+        beams = beamform_hard(data, weights, params, ws)
         _comp_done(metrics, started)
         if wslot is not None:
             ctx.channel("hard_w", src, replica).release(wslot)
@@ -259,14 +271,15 @@ def run_pulse_compression(ctx: RtContext, replica: int,
     r_hbf = plan.of("hard_beamform")
     r_cfar = plan.of("cfar")
     replica_freq = ctx.kernel_plan.replica_freq
+    ws = Workspace()
     for i in ctx.my_cpis("pulse_compression", replica):
         eslot, easy_y = ctx.recv("easy_y", i % r_ebf, replica, i, metrics)
         hslot, hard_y = ctx.recv("hard_y", i % r_hbf, replica, i, metrics)
         started = _comp_clock(metrics)
-        beams = assemble_beamformed(easy_y, hard_y, params)
+        beams = assemble_beamformed(easy_y, hard_y, params, ws)
         ctx.channel("easy_y", i % r_ebf, replica).release(eslot)
         ctx.channel("hard_y", i % r_hbf, replica).release(hslot)
-        power = pulse_compress(beams, params, replica_freq)
+        power = pulse_compress(beams, params, replica_freq, ws)
         _comp_done(metrics, started)
         ctx.send("power", replica, i % r_cfar, power, i, metrics)
         metrics.count_item()
@@ -277,10 +290,11 @@ def run_cfar(ctx: RtContext, replica: int, metrics: StageMetrics) -> None:
     params, plan = ctx.params, ctx.plan
     r_pc = plan.of("pulse_compression")
     factor = ctx.kernel_plan.cfar_factor
+    ws = Workspace()
     for i in ctx.my_cpis("cfar", replica):
         slot, power = ctx.recv("power", i % r_pc, replica, i, metrics)
         started = _comp_clock(metrics)
-        detections = cfar_detect(power, params, factor=factor)
+        detections = cfar_detect(power, params, factor=factor, workspace=ws)
         _comp_done(metrics, started)
         ctx.channel("power", i % r_pc, replica).release(slot)
         ctx.post(("report", i, tuple(detections), perf_counter()))

@@ -9,6 +9,12 @@ counts appear in the paper's Table 1.
 Both functions take any block of bins; they are the one beamforming code
 of the sequential reference (every bin), the simulator's beamforming
 tasks (a rank's block) and the real runtime's beamform workers.
+
+Each bin's product runs as one batched ``matmul`` of the transposed data
+with the conjugated weights, ``y[n]^T = x[n]^T conj(w[n])`` — the product
+``np.einsum("njm,njk->nmk", ...)`` dispatches to — written straight into
+a (bins, K, M) buffer; the result is its (bins, M, K) transpose, as
+``einsum`` returns it.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
+from repro.stap.workspace import scratch
 
 
 def beamform_easy(
-    dop_easy: np.ndarray, weights: np.ndarray, params: STAPParams
+    dop_easy: np.ndarray, weights: np.ndarray, params: STAPParams, workspace=None
 ) -> np.ndarray:
     """Easy-bin beamforming of any block of B easy bins.
 
@@ -35,11 +42,15 @@ def beamform_easy(
         parallel task).
     weights:
         (B, J, M) easy weights of the same bins.
+    workspace:
+        Optional :class:`~repro.stap.workspace.Workspace` whose buffer
+        receives the result (valid until the next call with it).
 
     Returns
     -------
-    (B, M, K) freshly allocated beamformed data.  Each bin is computed on
-    its own, so a block's result equals the full-extent result's rows.
+    (B, M, K) beamformed data, freshly allocated without a workspace.
+    Each bin is computed on its own, so a block's result equals the
+    full-extent result's rows.
     """
     J, K, M = params.num_channels, params.num_ranges, params.num_beams
     if dop_easy.ndim != 3 or dop_easy.shape[1:] != (J, K):
@@ -50,7 +61,12 @@ def beamform_easy(
     if weights.shape != expected_w:
         raise ConfigurationError(f"easy weights shape {weights.shape} != {expected_w}")
     start = perf_counter() if metrics_registry.enabled else None
-    out = np.einsum("njm,njk->nmk", np.conj(weights), dop_easy, optimize=True)
+    out = scratch(
+        workspace, "beamform.easy", (dop_easy.shape[0], K, M),
+        np.result_type(weights.dtype, dop_easy.dtype),
+    )
+    np.matmul(dop_easy.transpose(0, 2, 1), np.conj(weights), out=out)
+    out = out.transpose(0, 2, 1)
     if start is not None:
         from repro.stap.flops import easy_beamform_flops
 
@@ -64,7 +80,7 @@ def beamform_easy(
 
 
 def beamform_hard(
-    dop_hard: np.ndarray, weights: np.ndarray, params: STAPParams
+    dop_hard: np.ndarray, weights: np.ndarray, params: STAPParams, workspace=None
 ) -> np.ndarray:
     """Hard-bin beamforming of any block of B hard bins, per-segment weights.
 
@@ -74,12 +90,16 @@ def beamform_hard(
         (B, 2J, K) — hard bins of the staggered cube, both windows.
     weights:
         (num_segments, B, 2J, M) hard weights of the same bins.
+    workspace:
+        Optional :class:`~repro.stap.workspace.Workspace` whose buffer
+        receives the result (valid until the next call with it).
 
     Returns
     -------
-    (B, M, K) freshly allocated beamformed data; range segment ``s`` of
-    the output uses segment ``s``'s weights.  Each bin is computed on its
-    own, so a block's result equals the full-extent result's rows.
+    (B, M, K) beamformed data, freshly allocated without a workspace;
+    range segment ``s`` of the output uses segment ``s``'s weights.  Each
+    bin is computed on its own, so a block's result equals the
+    full-extent result's rows.
     """
     n2, K = params.num_staggered_channels, params.num_ranges
     if dop_hard.ndim != 3 or dop_hard.shape[1:] != (n2, K):
@@ -91,14 +111,13 @@ def beamform_hard(
     if weights.shape != expected_w:
         raise ConfigurationError(f"hard weights shape {weights.shape} != {expected_w}")
     start = perf_counter() if metrics_registry.enabled else None
-    out = np.empty((num_bins, params.num_beams, K), dtype=complex)
+    out = scratch(
+        workspace, "beamform.hard", (num_bins, K, params.num_beams), complex
+    )
     for seg_idx, seg in enumerate(params.segment_slices):
-        out[:, :, seg] = np.einsum(
-            "njm,njk->nmk",
-            np.conj(weights[seg_idx]),
-            dop_hard[:, :, seg],
-            optimize=True,
-        )
+        np.matmul(dop_hard[:, :, seg].transpose(0, 2, 1), np.conj(weights[seg_idx]),
+                  out=out[:, seg, :])
+    out = out.transpose(0, 2, 1)
     if start is not None:
         from repro.stap.flops import hard_beamform_flops
 
@@ -112,20 +131,20 @@ def beamform_hard(
 
 
 def assemble_beamformed(
-    easy: np.ndarray, hard: np.ndarray, params: STAPParams
+    easy: np.ndarray, hard: np.ndarray, params: STAPParams, workspace=None
 ) -> np.ndarray:
     """Interleave easy- and hard-bin results into the full (N, M, K) cube.
 
     Bin order follows the FFT bin index, so hard bins land at both spectrum
     edges and easy bins in the centre — the layout pulse compression and
-    CFAR consume.
+    CFAR consume.  With a ``workspace`` the cube is its buffer.
     """
     N, M, K = params.num_doppler, params.num_beams, params.num_ranges
     if easy.shape != (params.num_easy_doppler, M, K):
         raise ConfigurationError(f"easy beamformed shape {easy.shape} unexpected")
     if hard.shape != (params.num_hard_doppler, M, K):
         raise ConfigurationError(f"hard beamformed shape {hard.shape} unexpected")
-    out = np.empty((N, M, K), dtype=complex)
+    out = scratch(workspace, "beamform.assembled", (N, M, K), complex)
     out[params.easy_bins] = easy
     out[params.hard_bins] = hard
     return out

@@ -10,12 +10,13 @@ reference cells on each side of the cell under test, separated by
 reference cells (windows truncate at the row edges, and the threshold factor
 adapts to the actual cell count so the design Pfa holds everywhere).
 Vectorized with a cumulative sum along range — one pass, no Python loop over
-cells.
+cells; the window edges are read from it as a few slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
+from repro.stap.workspace import scratch
 
 
 @dataclass(frozen=True, order=True)
@@ -69,21 +71,67 @@ def reference_cell_counts(params: STAPParams) -> np.ndarray:
     return np.maximum(counts, 1)
 
 
-def _window_sums(power: np.ndarray, params: STAPParams) -> np.ndarray:
-    """Sum of reference cells around each range index, vectorized via cumsum."""
-    K, W, G = params.num_ranges, params.cfar_window, params.cfar_guard
-    csum = np.concatenate(
-        [np.zeros(power.shape[:-1] + (1,), dtype=np.float64), np.cumsum(power, axis=-1)],
-        axis=-1,
-    )
+@lru_cache(maxsize=None)
+def _window_runs(K: int, W: int, G: int) -> tuple:
+    """Runs of range cells over which every window edge is a slice.
+
+    The four window edges (lead window ``[lead_lo, lead_hi)``, trail
+    window ``[trail_lo, trail_hi)``) are ramps clipped to ``[0, K]``: per
+    cell each edge moves by one or not at all.  Returns ``(start, stop,
+    edges)`` per run, ``edges`` holding ``(first, step)`` of the lead
+    hi/lo and trail hi/lo indices into the cumulative sum, so a run's
+    edge values are ``csum[..., first:first + length]`` (step 1) or
+    ``csum[..., first:first + 1]`` broadcast (step 0).
+    """
     k = np.arange(K)
-    lead_lo = np.maximum(k - G - W, 0)
-    lead_hi = np.maximum(k - G, 0)
-    trail_lo = np.minimum(k + G + 1, K)
-    trail_hi = np.minimum(k + G + 1 + W, K)
-    lead = csum[..., lead_hi] - csum[..., lead_lo]
-    trail = csum[..., trail_hi] - csum[..., trail_lo]
-    return lead + trail
+    ramps = np.stack([
+        np.maximum(k - G, 0),
+        np.maximum(k - G - W, 0),
+        np.minimum(k + G + 1 + W, K),
+        np.minimum(k + G + 1, K),
+    ])
+    steps = np.diff(ramps, axis=1)
+    # A run ends where any edge changes its step between two cells.
+    cuts = np.flatnonzero(np.any(steps[:, 1:] != steps[:, :-1], axis=0)) + 2
+    bounds = [0, *cuts.tolist(), K]
+    runs = []
+    for start, stop in zip(bounds, bounds[1:]):
+        step = steps[:, start] if stop - start > 1 else np.zeros(4, dtype=int)
+        edges = tuple(
+            (int(ramp[start]), int(ramp_step))
+            for ramp, ramp_step in zip(ramps, step)
+        )
+        runs.append((start, stop, edges))
+    return tuple(runs)
+
+
+def _window_sums(power: np.ndarray, params: STAPParams, workspace=None) -> np.ndarray:
+    """Sum of reference cells around each range index, in float64.
+
+    One cumulative sum along range, accumulated in float64 in its own
+    buffer (no float64 copy of the cube), then each window edge is read
+    as a few slices of it (:func:`_window_runs`) — the same subtractions,
+    in the same order, as indexing the cumulative sum at every edge.  With
+    a ``workspace`` the cumulative sum and the sums live in its buffers.
+    """
+    K, W, G = params.num_ranges, params.cfar_window, params.cfar_guard
+    rows = power.shape[:-1]
+    csum = scratch(workspace, "cfar.csum", rows + (K + 1,), np.float64)
+    csum[..., 0] = 0.0
+    # Widen into the buffer, then sum in place: a cumsum with a float64
+    # dtype would first cast the whole cube into a temporary.
+    csum[..., 1:] = power
+    np.cumsum(csum[..., 1:], axis=-1, out=csum[..., 1:])
+    lead = scratch(workspace, "cfar.sums", rows + (K,), np.float64)
+    trail = scratch(workspace, "cfar.trail", rows + (K,), np.float64)
+    for start, stop, edges in _window_runs(K, W, G):
+        lead_hi, lead_lo, trail_hi, trail_lo = (
+            csum[..., first : first + (stop - start if step else 1)]
+            for first, step in edges
+        )
+        np.subtract(lead_hi, lead_lo, out=lead[..., start:stop])
+        np.subtract(trail_hi, trail_lo, out=trail[..., start:stop])
+    return np.add(lead, trail, out=lead)
 
 
 def cfar_detect(
@@ -92,6 +140,7 @@ def cfar_detect(
     pfa: float | None = None,
     bin_ids=None,
     factor: np.ndarray | None = None,
+    workspace=None,
 ) -> list[Detection]:
     """Run CA-CFAR over a power cube; returns detections sorted by index.
 
@@ -112,6 +161,10 @@ def cfar_detect(
         Optional precomputed (K,) ``alpha / counts`` threshold factor (a
         :class:`~repro.stap.plan.KernelPlan` holds it for the design Pfa).
         Mutually exclusive with ``pfa`` — the factor bakes one in.
+    workspace:
+        Optional :class:`~repro.stap.workspace.Workspace` whose buffers
+        hold the window sums, thresholds and crossing mask instead of
+        fresh arrays.
     """
     M, K = params.num_beams, params.num_ranges
     power = np.asarray(power)
@@ -138,15 +191,15 @@ def cfar_detect(
     elif factor.shape != (K,):
         raise ConfigurationError(f"factor length {factor.shape} != ({K},)")
     start = perf_counter() if metrics_registry.enabled else None
-    sums = _window_sums(np.asarray(power, dtype=np.float64), params)
-    thresholds = factor[None, None, :] * sums
-    mask = power > thresholds
-    # Gather the crossing coordinates and values in one indexed pass each;
-    # Detection construction is the only remaining per-hit Python work.
-    hits = np.argwhere(mask)
-    hit_powers = power[mask]
-    hit_thresholds = thresholds[mask]
-    hit_bins = bin_ids[hits[:, 0]]
+    sums = _window_sums(power, params, workspace)
+    thresholds = np.multiply(sums, factor, out=sums)
+    mask = np.greater(
+        power, thresholds, out=scratch(workspace, "cfar.mask", power.shape, bool)
+    )
+    # The crossings in C order from one flat scan of the mask (far cheaper
+    # than a 3-D argwhere), then their values by index; Detection
+    # construction is the only per-hit Python work.
+    hits = np.unravel_index(np.flatnonzero(mask), mask.shape)
     detections = [
         Detection(
             doppler_bin=int(bin_id),
@@ -155,8 +208,9 @@ def cfar_detect(
             power=float(value),
             threshold=float(threshold),
         )
-        for bin_id, (_, m, k), value, threshold in zip(
-            hit_bins, hits.tolist(), hit_powers.tolist(), hit_thresholds.tolist()
+        for bin_id, m, k, value, threshold in zip(
+            bin_ids[hits[0]], hits[1].tolist(), hits[2].tolist(),
+            power[hits].tolist(), thresholds[hits].tolist(),
         )
     ]
     detections.sort()

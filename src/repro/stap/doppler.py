@@ -29,6 +29,7 @@ from repro.radar.datacube import CPIDataCube
 from repro.radar.parameters import STAPParams
 from repro.radar.windows import window_by_name
 from repro.stap.threads import split_batch
+from repro.stap.workspace import scratch
 
 
 def stagger_phase(params: STAPParams, doppler_bins) -> np.ndarray:
@@ -47,6 +48,7 @@ def doppler_filter(
     cube: CPIDataCube | np.ndarray,
     params: STAPParams | None = None,
     window: np.ndarray | None = None,
+    workspace=None,
 ) -> np.ndarray:
     """Doppler-filter one CPI into the staggered cube.
 
@@ -59,6 +61,9 @@ def doppler_filter(
     window:
         Optional precomputed filter-bank window (see
         :func:`doppler_filter_block`).
+    workspace:
+        Optional :class:`~repro.stap.workspace.Workspace` whose buffer
+        receives the staggered cube (see :func:`doppler_filter_block`).
 
     Returns
     -------
@@ -80,7 +85,7 @@ def doppler_filter(
     K, J, N = params.num_ranges, params.num_channels, params.num_pulses
     if data.shape != (K, J, N):
         raise ConfigurationError(f"cube shape {data.shape} != ({K},{J},{N})")
-    return doppler_filter_block(data, params, window=window)
+    return doppler_filter_block(data, params, window=window, workspace=workspace)
 
 
 def range_correction_factors(params: STAPParams, k_start: int, count: int) -> np.ndarray:
@@ -122,6 +127,7 @@ def doppler_filter_block(
     params: STAPParams,
     k_start: int = 0,
     window: np.ndarray | None = None,
+    workspace=None,
 ) -> np.ndarray:
     """Doppler-filter a K-slice of a CPI cube: (k, J, N) -> (N, 2J, k).
 
@@ -134,6 +140,10 @@ def doppler_filter_block(
     ``window``: optional precomputed filter-bank window (a
     :class:`~repro.stap.plan.KernelPlan` holds it); default recomputes it
     from the params — identical values either way.
+
+    ``workspace``: optional :class:`~repro.stap.workspace.Workspace` whose
+    buffer receives the output, valid until the next call with it; the
+    output is fresh without one.
 
     The slice is split along range cells over the kernel threads
     (:mod:`repro.stap.threads`) once it holds at least
@@ -162,7 +172,7 @@ def doppler_filter_block(
 
     start = perf_counter() if metrics_registry.enabled else None
     num_cells = data.shape[0]
-    out = np.empty((N, 2 * J, num_cells), dtype=np.complex128)
+    out = scratch(workspace, "doppler.staggered", (N, 2 * J, num_cells), np.complex128)
 
     def filter_cells(lo: int, hi: int) -> None:
         _filter_cells(data, gains, window, params.stagger, out, lo, hi)
@@ -183,9 +193,9 @@ def _filter_cells(data, gains, window, stagger, out, lo, hi) -> None:
 
     Per block of :data:`BLOCK_CELLS` cells, both windows — pulses
     ``[0, N-s)`` and ``[s, N)`` — are written side by side into one
-    zero-padded ``(cells, 2, J, N)`` buffer, one FFT runs along the pulse
-    axis (unit stride in the corner-turned cube — the whole point of
-    partitioning this task along K, Section 5.1), and the spectra are
+    zero-padded ``(cells, 2, J, N)`` buffer, one in-place FFT runs along
+    the pulse axis (unit stride in the corner-turned cube — the whole point
+    of partitioning this task along K, Section 5.1), and the spectra are
     transposed into ``out``'s ``(N, 2J, k)`` layout.  The multiplies use
     the same operand dtypes as a plain ``data[..., :N-s] * window``, the
     pad columns are zero as in ``np.fft.fft(..., n=N)``, and the spectra
@@ -206,8 +216,10 @@ def _filter_cells(data, gains, window, stagger, out, lo, hi) -> None:
             block = block * gains[first : first + cells, None, None]
         np.multiply(block[:, :, :win_len], window, out=rows[:cells, 0, :, :win_len])
         np.multiply(block[:, :, stagger:], window, out=rows[:cells, 1, :, :win_len])
-        spectra = np.fft.fft(rows[:cells], axis=3)
+        spectra = np.fft.fft(rows[:cells], axis=3, out=rows[:cells])
         out4[:, :, :, first : first + cells] = spectra.transpose(3, 1, 2, 0)
+        # The FFT overwrote the pad columns; the next block needs them zero.
+        rows[:cells, :, :, win_len:] = 0
 
 
 def doppler_bin_frequencies(params: STAPParams) -> np.ndarray:

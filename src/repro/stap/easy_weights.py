@@ -29,6 +29,7 @@ from repro.stap.lsq import (
     solve_constrained,
     solve_constrained_stacked,
 )
+from repro.stap.workspace import scratch, scratch_like
 
 #: Number of preceding CPIs whose samples form the easy training set.
 HISTORY_LENGTH = 3
@@ -59,7 +60,8 @@ def extract_easy_training(staggered: np.ndarray, params: STAPParams) -> np.ndarr
     Returns
     -------
     numpy.ndarray
-        (N_easy, easy_train_per_cpi, J): per easy bin, the selected range
+        (N_easy, easy_train_per_cpi, J), freshly allocated because the
+        computer's history keeps it: per easy bin, the selected range
         samples of the *first* Doppler window ("only range samples in the
         first half of the staggered CPI data are used", Section 5.2).
 
@@ -70,13 +72,22 @@ def extract_easy_training(staggered: np.ndarray, params: STAPParams) -> np.ndarr
     """
     J = params.num_channels
     sel = select_range_samples(params.num_ranges, params.easy_train_per_cpi)
-    # (N_easy, J, count) -> (N_easy, count, J)
-    block = staggered[params.easy_bins][:, :J, :][:, :, sel]
-    return np.conj(np.transpose(block, (0, 2, 1)))
+    # One gather of just the selected cells, laid out (count, N_easy, J) in
+    # memory as a gather of range cells from the (N_easy, J, K) easy cube
+    # lays it out.  The weights' bits depend on it: their data level (a
+    # mean over rows and channels) sums in memory order, and the history
+    # concatenation keeps the order.
+    block = staggered[
+        np.asarray(params.easy_bins)[None, :, None],
+        np.arange(J)[None, None, :],
+        sel[:, None, None],
+    ]
+    np.conjugate(block, out=block)
+    return block.transpose(1, 0, 2)
 
 
 def compute_easy_weights(
-    stacked: np.ndarray, steering: np.ndarray, kappa: float
+    stacked: np.ndarray, steering: np.ndarray, kappa: float, workspace=None
 ) -> np.ndarray:
     """Easy weights from stacked training: (B, n, J) -> (B, J, M).
 
@@ -88,7 +99,8 @@ def compute_easy_weights(
     solve (:func:`repro.stap.lsq.qr_factor_stacked` /
     :func:`repro.stap.lsq.solve_constrained_stacked`); the results are bit
     identical to the retained per-bin reference
-    :func:`compute_easy_weights_loop`.
+    :func:`compute_easy_weights_loop`.  With a ``workspace`` the scratch
+    arrays are its buffers; the returned weights are always fresh.
     """
     stacked = np.asarray(stacked)
     if stacked.ndim != 3:
@@ -102,15 +114,23 @@ def compute_easy_weights(
     # Vectorized per-bin data level; the diagonal constraint is the only
     # per-bin part of the constraint block, so it is built by index
     # assignment instead of B dense J x J materializations.
-    scales = np.mean(np.abs(stacked), axis=(1, 2))
+    # The mean sums in memory order, so the magnitudes keep the stack's.
+    magnitudes = scratch_like(workspace, "easy_weights.magnitudes", stacked,
+                              np.finfo(stacked.dtype).dtype)
+    scales = np.mean(np.abs(stacked, out=magnitudes), axis=(1, 2))
     scales[scales <= 0.0] = 1.0
     # Regular QR of the training data, then the constraint block is
     # appended (the "block update to add in the beam shape constraints").
     r_data = qr_factor_stacked(stacked)
-    constraints = np.zeros((num_bins, J, J), dtype=complex)
+    constraints = scratch(workspace, "easy_weights.constraints", (num_bins, J, J),
+                          complex)
+    constraints.fill(0)
     diag = np.arange(J)
     constraints[:, diag, diag] = (kappa * scales)[:, None]
-    weights = solve_constrained_stacked(r_data, constraints, steering)
+    weights = solve_constrained_stacked(
+        r_data, constraints, steering,
+        stacked=scratch(workspace, "easy_weights.solve", (num_bins, 2 * J, J), complex),
+    )
     if start is not None:
         from repro.stap.flops import qr_flops
 
@@ -161,13 +181,17 @@ class EasyWeightComputer:
     bins, bit for bit.
     """
 
-    def __init__(self, plan, bins=None):
+    def __init__(self, plan, bins=None, workspace=None):
         """``plan``: the run's :class:`~repro.stap.plan.KernelPlan` (steering
-        matrix and cold-start weights)."""
+        matrix and cold-start weights).  ``workspace``: an optional
+        :class:`~repro.stap.workspace.Workspace` of the thread that drives
+        this computer, for the stacked history and the solve's scratch;
+        without one they are fresh on every call."""
         self.params = plan.params
         self.plan = plan
         self.bins = np.asarray(self.params.easy_bins if bins is None else bins)
         self._history: Dict[int, Deque[np.ndarray]] = {}
+        self._workspace = workspace
 
     # -- state -----------------------------------------------------------------
     def push_training(self, training: np.ndarray, azimuth: int = 0) -> None:
@@ -199,7 +223,14 @@ class EasyWeightComputer:
         history = self._history.get(azimuth)
         if not history:
             return self.plan.cold_easy_weights(self.bins)
-        stacked = np.concatenate(list(history), axis=1)  # (B, <=3c, J)
+        # (B, <=3c, J) in the blocks' memory order, as np.concatenate lays
+        # it out: the data level sums in memory order.
+        first = history[0]
+        rows = sum(block.shape[1] for block in history)
+        stacked = scratch_like(self._workspace, "easy_weights.stacked", first,
+                               first.dtype, (first.shape[0], rows, first.shape[2]))
+        np.concatenate(list(history), axis=1, out=stacked)
         return compute_easy_weights(
-            stacked, self.plan.steering, self.params.beam_constraint_weight
+            stacked, self.plan.steering, self.params.beam_constraint_weight,
+            self._workspace,
         )

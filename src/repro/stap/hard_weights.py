@@ -31,6 +31,7 @@ from repro.stap.lsq import (
     solve_constrained_stacked,
 )
 from repro.stap.threads import split_batch
+from repro.stap.workspace import scratch
 
 #: Fewest units per thread worth a split, as work in (2J)^3 units: 16
 #: paper-scale (2J = 32) units.  On a 2-CPU host a split of 12 such
@@ -45,7 +46,9 @@ def _split_units(run, state: np.ndarray) -> None:
     split_batch(run, state.shape[0], -(-SPLIT_MIN_WORK // state.shape[1] ** 3))
 
 
-def extract_hard_training(staggered: np.ndarray, params: STAPParams) -> np.ndarray:
+def extract_hard_training(
+    staggered: np.ndarray, params: STAPParams, workspace=None
+) -> np.ndarray:
     """Training blocks for every (segment, hard bin) from one staggered CPI.
 
     Returns (num_segments, N_hard, hard_train_samples, 2J): per segment and
@@ -56,15 +59,21 @@ def extract_hard_training(staggered: np.ndarray, params: STAPParams) -> np.ndarr
     As with the easy training, rows are **conjugated** snapshots so that the
     least-squares residual equals the ``w^H x`` beamformer output on the
     training clutter.
+
+    With a ``workspace`` the block is its buffer, valid until the next
+    call with it: :meth:`HardWeightComputer.update` absorbs the rows at
+    once, so nothing needs them longer.
     """
-    out = np.zeros(
+    out = scratch(
+        workspace,
+        "hard_weights.training",
         (
             params.num_segments,
             params.num_hard_doppler,
             params.hard_train_samples,
             params.num_staggered_channels,
         ),
-        dtype=staggered.dtype,
+        staggered.dtype,
     )
     bins = np.asarray(params.hard_bins)[:, None]
     for seg_idx, seg in enumerate(params.segment_slices):
@@ -72,13 +81,16 @@ def extract_hard_training(staggered: np.ndarray, params: STAPParams) -> np.ndarr
         count = min(params.hard_train_samples, seg_len)
         sel = seg.start + select_range_samples(seg_len, count)
         # The separated advanced indices put the broadcast (bins, rows)
-        # axes first: one gather yields the (N_hard, count, 2J) block,
-        # rows beyond ``count`` stay zero padding.
+        # axes first: one gather yields the (N_hard, count, 2J) block;
+        # rows beyond ``count`` are zero padding.
         np.conjugate(staggered[bins, :, sel[None, :]], out=out[seg_idx, :, :count])
+        out[seg_idx, :, count:] = 0
     return out
 
 
-def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> None:
+def update_r_units(
+    state: np.ndarray, training: np.ndarray, forget: float, workspace=None
+) -> None:
     """Absorb training rows into a flat axis of R factors, in place.
 
     ``state``: (U, 2J, 2J) R factors, one per (segment, bin) unit;
@@ -87,13 +99,17 @@ def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> No
     :class:`HardWeightComputer`.  Large unit
     axes split across the kernel threads (:mod:`repro.stap.threads`); each
     unit's factorization is independent of its batch, so the result is
-    the same for any split.
+    the same for any split.  With a ``workspace`` the stacked systems are
+    built in its buffer, each thread filling its own units' slice.
     """
     start = perf_counter() if metrics_registry.enabled else None
+    num_units, rows, n2 = training.shape
+    stacked = scratch(workspace, "hard_weights.stacked", (num_units, n2 + rows, n2),
+                      np.result_type(state.dtype, training.dtype))
 
     def update(lo: int, hi: int) -> None:
         state[lo:hi] = qr_append_rows_stacked(
-            state[lo:hi], training[lo:hi], forget=forget
+            state[lo:hi], training[lo:hi], forget=forget, stacked=stacked[lo:hi]
         )
 
     _split_units(update, state)
@@ -103,7 +119,6 @@ def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> No
         # Table 1 charges the recursion's QR with the constraint rows too
         # (see repro.stap.flops.hard_weight_flops); mirror that accounting
         # here so update + solve sum to the paper's per-unit count.
-        num_units, rows, n2 = training.shape
         flops = num_units * qr_flops(n2 + rows + n2 // 2, n2)
         record_kernel("hard_weight", perf_counter() - start, flops)
 
@@ -113,6 +128,7 @@ def hard_constraint_blocks(
     phases: np.ndarray,
     beam_weight: float,
     freq_weight: float,
+    workspace=None,
 ) -> np.ndarray:
     """Phase-coupled constraint blocks for a flat axis of units.
 
@@ -120,14 +136,18 @@ def hard_constraint_blocks(
     Returns (U, J, 2J) rows ``scale_u * [bw*I | fw*conj(p_u)*I]`` built by
     broadcast + diagonal index assignment — no per-unit ``hstack``.  The
     scale is the mean magnitude of each unit's R diagonal, clamped to 1
-    when the recursion has absorbed nothing yet.
+    when the recursion has absorbed nothing yet.  With a ``workspace``
+    the blocks are its buffer.
     """
     num_units, n2, _ = state.shape
     J = n2 // 2
     diags = np.abs(np.diagonal(state, axis1=1, axis2=2))
     scales = np.mean(diags, axis=1)
     scales[scales <= 0.0] = 1.0
-    constraints = np.zeros((num_units, J, n2), dtype=complex)
+    constraints = scratch(
+        workspace, "hard_weights.constraints", (num_units, J, n2), complex
+    )
+    constraints.fill(0)
     diag = np.arange(J)
     constraints[:, diag, diag] = (scales * beam_weight)[:, None]
     coupling = scales * (freq_weight * np.conj(np.asarray(phases)))
@@ -141,6 +161,7 @@ def compute_hard_weights_units(
     phases: np.ndarray,
     beam_weight: float,
     freq_weight: float,
+    workspace=None,
 ) -> np.ndarray:
     """Hard weights for a flat axis of units: (U, 2J, 2J) -> (U, 2J, M).
 
@@ -152,23 +173,30 @@ def compute_hard_weights_units(
 
     One stacked constrained solve over all units, split across the kernel
     threads like :func:`update_r_units`; bit identical to the per-unit
-    loop (see :func:`compute_hard_weights_loop`) for any split.
+    loop (see :func:`compute_hard_weights_loop`) for any split.  With a
+    ``workspace`` the constraint blocks and stacked systems are its
+    buffers; the returned weights are always fresh, since callers keep
+    them for the next CPI.
     """
     start = perf_counter() if metrics_registry.enabled else None
-    constraints = hard_constraint_blocks(state, phases, beam_weight, freq_weight)
-    weights = np.empty((state.shape[0], state.shape[1], steering.shape[1]),
-                       dtype=complex)
+    num_units, n2 = state.shape[0], state.shape[1]
+    constraints = hard_constraint_blocks(
+        state, phases, beam_weight, freq_weight, workspace
+    )
+    # The update's buffer too: a computer never updates and solves at once.
+    stacked = scratch(workspace, "hard_weights.stacked",
+                      (num_units, n2 + constraints.shape[1], n2), complex)
+    weights = np.empty((num_units, n2, steering.shape[1]), dtype=complex)
 
     def solve(lo: int, hi: int) -> None:
         weights[lo:hi] = solve_constrained_stacked(
-            state[lo:hi], constraints[lo:hi], steering
+            state[lo:hi], constraints[lo:hi], steering, stacked=stacked[lo:hi]
         )
 
     _split_units(solve, state)
     if start is not None:
         # The back-substitution share of Table 1's per-unit count; the QR
         # share is credited to update_r_units (see comment there).
-        num_units, n2 = state.shape[0], state.shape[1]
         flops = num_units * steering.shape[1] * 3.0 * n2 * n2
         record_kernel("hard_weight", perf_counter() - start, flops)
     return weights
@@ -244,9 +272,12 @@ class HardWeightComputer:
     units, bit for bit.
     """
 
-    def __init__(self, plan, unit_bins=None):
+    def __init__(self, plan, unit_bins=None, workspace=None):
         """``plan``: the run's :class:`~repro.stap.plan.KernelPlan` (steering
-        matrix, stagger phases and cold-start weights)."""
+        matrix, stagger phases and cold-start weights).  ``workspace``: an
+        optional :class:`~repro.stap.workspace.Workspace` of the thread
+        that drives this computer, for the update's and the solve's
+        scratch; without one they are fresh on every call."""
         params = plan.params
         if unit_bins is None:
             unit_bins = segment_grid(params, params.hard_bins)
@@ -258,6 +289,7 @@ class HardWeightComputer:
         self._phases = plan.stagger_phases[self.unit_bins.ravel()]
         # azimuth -> (U, 2J, 2J) R factors, flat over the units.
         self._r_state: Dict[int, np.ndarray] = {}
+        self._workspace = workspace
 
     # -- state ---------------------------------------------------------------
     def _state_for(self, azimuth: int) -> np.ndarray:
@@ -289,6 +321,7 @@ class HardWeightComputer:
             self._state_for(azimuth),
             training.reshape(-1, rows, n2),
             params.forgetting_factor,
+            self._workspace,
         )
 
     # -- weights -------------------------------------------------------------
@@ -312,6 +345,7 @@ class HardWeightComputer:
             self._phases,
             params.beam_constraint_weight,
             params.freq_constraint_weight,
+            self._workspace,
         )
         if idle.any():
             weights[idle] = self.plan.cold_hard_weights(self.unit_bins.ravel()[idle])

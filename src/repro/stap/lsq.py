@@ -165,13 +165,18 @@ def qr_factor_stacked(matrices: np.ndarray) -> np.ndarray:
 
 
 def qr_append_rows_stacked(
-    r_old: np.ndarray, rows: np.ndarray, forget: float = 1.0
+    r_old: np.ndarray,
+    rows: np.ndarray,
+    forget: float = 1.0,
+    stacked: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched block QR update: R factors of ``[forget * R_old; rows]``.
 
     ``r_old``: (B, n, n) R factors; ``rows``: (B, m, n) appended rows.
     One stacked factorization replaces B calls to :func:`qr_append_rows`
     while maintaining the same information-matrix identity per slice.
+    ``stacked``: optional (B, n + m, n) buffer the system is built in
+    (fresh when None).
     """
     r_old = np.asarray(r_old)
     rows = np.asarray(rows)
@@ -179,15 +184,19 @@ def qr_append_rows_stacked(
         raise ConfigurationError(
             f"stacked R state must be (batch, n, n), got {r_old.shape}"
         )
-    n = r_old.shape[2]
-    if rows.ndim != 3 or rows.shape[0] != r_old.shape[0] or rows.shape[2] != n:
+    batch, n = r_old.shape[0], r_old.shape[2]
+    if rows.ndim != 3 or rows.shape[0] != batch or rows.shape[2] != n:
         raise ConfigurationError(
             f"appended rows shape {rows.shape} incompatible with R state "
             f"{r_old.shape}"
         )
     if not (0.0 < forget <= 1.0):
         raise ConfigurationError(f"forget factor must be in (0,1], got {forget}")
-    stacked = np.concatenate([forget * r_old, rows], axis=1)
+    if stacked is None:
+        stacked = np.empty((batch, n + rows.shape[1], n),
+                           dtype=np.result_type(r_old.dtype, rows.dtype))
+    np.multiply(r_old, forget, out=stacked[:, :n])
+    stacked[:, n:] = rows
     return qr_factor_stacked(stacked)
 
 
@@ -196,19 +205,23 @@ def solve_constrained_stacked(
     constraints: np.ndarray,
     steering_rhs: np.ndarray,
     normalize: bool = True,
+    stacked: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched beam-constrained least squares: one solve per stack slice.
 
     ``r_data``: (B, n, n) data R factors; ``constraints``: (B, c, n)
     per-slice constraint blocks; ``steering_rhs``: (c, M) right-hand side
     shared by every slice (the receive-beam steering matrix).  Returns
-    (B, n, M) weights.
+    (B, n, M) weights.  ``stacked``: optional complex (B, n + c, n) buffer
+    the system ``[R_data; C]`` is built in (fresh when None).
 
     One stacked QR of the B stacked systems plus one batched triangular
-    solve replace B calls to :func:`solve_constrained`.  Slices whose
-    stacked R factor is rank deficient (early CPIs) fall back to ``lstsq``
-    individually — the same condition, threshold, and fallback as the
-    per-matrix kernel, applied per slice.
+    solve replace B calls to :func:`solve_constrained`.  The right-hand
+    side is zero above the constraint rows, so ``Q^H rhs`` takes only Q's
+    constraint rows.  Slices whose stacked R factor is rank deficient
+    (early CPIs) fall back to ``lstsq`` individually — the same
+    condition, threshold, and fallback as the per-matrix kernel, applied
+    per slice.
 
     Bit-identity note: with a multi-column right-hand side (every pipeline
     call — the steering matrix always carries ``M >= 2`` beams) the result
@@ -240,23 +253,38 @@ def solve_constrained_stacked(
     num_beams = steering_rhs.shape[1]
     if batch == 0:
         return np.zeros((0, n, num_beams), dtype=complex)
-    stacked = np.concatenate([r_data, constraints.astype(complex, copy=False)], axis=1)
-    rhs = np.zeros((batch, stacked.shape[1], num_beams), dtype=complex)
-    rhs[:, rows_data:, :] = steering_rhs.astype(complex)
+    if stacked is None:
+        stacked = np.empty((batch, rows_data + constraints.shape[1], n),
+                           dtype=complex)
+    stacked[:, :rows_data] = r_data
+    stacked[:, rows_data:] = constraints
+    # The per-matrix kernel's right-hand side: zero above the constraints.
+    rhs = np.zeros((stacked.shape[1], num_beams), dtype=complex)
+    rhs[rows_data:] = steering_rhs
     # One stacked QR shared across beams, as in the per-matrix kernel.
     q, r = np.linalg.qr(stacked, mode="reduced")
-    qtb = np.matmul(q.conj().transpose(0, 2, 1), rhs)
+    if min(n, constraints.shape[1]) > 1:
+        # Q^H rhs from Q's constraint rows alone.  Both products are then
+        # matrix products, whose kernels add the zero rows' exact zeros
+        # without changing a bit; a vector-shaped product takes another
+        # kernel, whose rounding depends on them.
+        qtb = np.matmul(q[:, rows_data:].conj().transpose(0, 2, 1), rhs[rows_data:])
+    else:
+        qtb = np.matmul(q.conj().transpose(0, 2, 1), rhs)
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     floor = 1e-10 * np.maximum(diag.max(axis=1, initial=0.0), 1.0)
     degenerate = (diag.shape[1] < n) | np.any(diag < floor[:, None], axis=1)
-    weights = np.empty((batch, n, num_beams), dtype=complex)
-    healthy = ~degenerate
-    if np.any(healthy):
-        # LU of an upper-triangular matrix pivots nowhere, so the batched
-        # solve reduces to the same back substitution as solve_triangular.
-        weights[healthy] = np.linalg.solve(r[healthy], qtb[healthy])
-    for idx in np.flatnonzero(degenerate):
-        weights[idx], *_ = np.linalg.lstsq(stacked[idx], rhs[idx], rcond=None)
+    # LU of an upper-triangular matrix pivots nowhere, so the batched
+    # solve reduces to the same back substitution as solve_triangular.
+    if not np.any(degenerate):
+        weights = np.linalg.solve(r, qtb)
+    else:
+        weights = np.empty((batch, n, num_beams), dtype=complex)
+        healthy = ~degenerate
+        if np.any(healthy):
+            weights[healthy] = np.linalg.solve(r[healthy], qtb[healthy])
+        for idx in np.flatnonzero(degenerate):
+            weights[idx], *_ = np.linalg.lstsq(stacked[idx], rhs, rcond=None)
     if normalize:
         # Match the per-matrix kernel's summation order exactly.  Its norm
         # reduces over the *contiguous* axis of solve_triangular's
@@ -270,7 +298,7 @@ def solve_constrained_stacked(
         if np.any(degenerate):
             norms[degenerate] = np.linalg.norm(weights[degenerate], axis=1)
         norms[norms == 0.0] = 1.0
-        weights = weights / norms[:, None, :]
+        np.divide(weights, norms[:, None, :], out=weights)
     return weights
 
 

@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 from repro.radar.waveform import lfm_chirp, matched_filter_frequency_response
+from repro.stap.workspace import scratch
 
 
 def replica_response(params: STAPParams) -> np.ndarray:
@@ -35,6 +36,7 @@ def pulse_compress(
     beamformed: np.ndarray,
     params: STAPParams,
     replica_freq: np.ndarray | None = None,
+    workspace=None,
 ) -> np.ndarray:
     """Matched-filter along range and square to the power domain.
 
@@ -44,6 +46,10 @@ def pulse_compress(
         (N, M, K) complex beamformed cube.
     replica_freq:
         Optional precomputed :func:`replica_response` (length K).
+    workspace:
+        Optional :class:`~repro.stap.workspace.Workspace` holding the
+        spectrum and the returned power cube (see
+        :func:`pulse_compress_block`).
 
     Returns
     -------
@@ -55,19 +61,25 @@ def pulse_compress(
         raise ConfigurationError(
             f"beamformed shape {beamformed.shape} != ({N},{M},{K})"
         )
-    return pulse_compress_block(beamformed, params, replica_freq)
+    return pulse_compress_block(beamformed, params, replica_freq, workspace)
 
 
 def pulse_compress_block(
     beamformed: np.ndarray,
     params: STAPParams,
     replica_freq: np.ndarray | None = None,
+    workspace=None,
 ) -> np.ndarray:
     """Matched filter an arbitrary block of Doppler bins: (b, M, K).
 
     The per-processor kernel of the parallel pulse-compression task, which
     owns ``N / P_5`` Doppler bins (Figure 9); :func:`pulse_compress` is the
     full-cube wrapper.
+
+    Both FFTs write into one spectrum buffer and the power is squared in
+    place, so the kernel holds one complex and one real cube.  With a
+    ``workspace`` both are its buffers, and the returned power stays valid
+    until the next call with that workspace; without one both are fresh.
     """
     M, K = params.num_beams, params.num_ranges
     beamformed = np.asarray(beamformed)
@@ -82,14 +94,23 @@ def pulse_compress_block(
             f"replica response length {replica_freq.shape} != ({K},)"
         )
     start = perf_counter() if metrics_registry.enabled else None
-    spectrum = np.fft.fft(beamformed, axis=2)
+    # The FFT's precision follows the input's: complex64 stays single.
+    spectrum = scratch(
+        workspace, "pulse_compression.spectrum", beamformed.shape,
+        np.result_type(beamformed.dtype, np.complex64),
+    )
+    np.fft.fft(beamformed, axis=2, out=spectrum)
     spectrum *= replica_freq[None, None, :]
-    compressed = np.fft.ifft(spectrum, axis=2)
-    power = compressed.real**2 + compressed.imag**2
-    # ``power`` keeps the FFT's precision, which follows the input's;
-    # copy=False returns it as-is when that is already the params' real
-    # dtype instead of cloning the cube.
-    power = power.astype(params.real_dtype, copy=False)
+    np.fft.ifft(spectrum, axis=2, out=spectrum)
+    # |z|^2 = re^2 + im^2 at the FFT's precision: square the interleaved
+    # parts in place, then add each pair, rounding once to the params'
+    # real dtype.
+    parts = spectrum.view(spectrum.real.dtype)
+    np.square(parts, out=parts)
+    power = scratch(
+        workspace, "pulse_compression.power", beamformed.shape, params.real_dtype
+    )
+    np.add(parts[..., 0::2], parts[..., 1::2], out=power)
     if start is not None:
         from repro.stap.flops import pulse_compression_flops
 

@@ -29,6 +29,13 @@ The branches share only read-only inputs, so — as in the paper, where the
 weight tasks run beside beamforming, pulse compression and CFAR — they
 run at once on the kernel threads (:func:`repro.stap.threads.run_beside`);
 a one-thread process runs detection, then training.
+
+Like the paper's tasks with their fixed ``inBuf``/``outBuf`` (Figure 10),
+each branch reuses its per-CPI arrays: detection writes into one
+:class:`~repro.stap.workspace.Workspace`, Doppler filtering and training
+into another, so a steady-state CPI allocates no cube.  Only what
+outlives the CPI is fresh: the easy training block the history keeps
+and the weights for the next visit.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from repro.stap.easy_weights import EasyWeightComputer, extract_easy_training
 from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
 from repro.stap.pulse_compression import pulse_compress
 from repro.stap.threads import run_beside
+from repro.stap.workspace import Workspace
 
 
 def default_steering(params: STAPParams) -> np.ndarray:
@@ -82,8 +90,12 @@ class SequentialSTAP:
             plan = KernelPlan.build(params, steering)
         self.plan = plan
         self.steering = plan.steering
-        self.easy = EasyWeightComputer(plan)
-        self.hard = HardWeightComputer(plan)
+        # Per-CPI buffers, one workspace per branch: detection runs on a
+        # pool thread while the calling thread filters and trains.
+        self._detect_ws = Workspace()
+        self._train_ws = Workspace()
+        self.easy = EasyWeightComputer(plan, workspace=self._train_ws)
+        self.hard = HardWeightComputer(plan, workspace=self._train_ws)
         # Pending weights per azimuth (computed after the previous visit).
         self._easy_weights: Dict[int, np.ndarray] = {}
         self._hard_weights: Dict[int, np.ndarray] = {}
@@ -101,7 +113,11 @@ class SequentialSTAP:
         """
         params = self.params
         azimuth = cube.azimuth
-        staggered = doppler_filter(cube, window=self.plan.doppler_window)
+        # The calling thread's workspace: the staggered cube lives there
+        # until the next CPI, so both branches read it.
+        staggered = doppler_filter(
+            cube, window=self.plan.doppler_window, workspace=self._train_ws
+        )
 
         easy_w = self._easy_weights.get(azimuth)
         if easy_w is None:
@@ -112,22 +128,38 @@ class SequentialSTAP:
 
         # Detection reads only easy_w/hard_w as captured here: training
         # replaces the dict entries with new arrays and never writes the
-        # old ones in place.
+        # old ones in place.  Each branch writes only its own workspace.
         def detect():
-            easy_in = staggered[params.easy_bins, : params.num_channels, :]
-            hard_in = staggered[params.hard_bins]
-            easy_y = beamform_easy(easy_in, easy_w, params)
-            hard_y = beamform_hard(hard_in, hard_w, params)
-            beams = assemble_beamformed(easy_y, hard_y, params)
-            power = pulse_compress(beams, params, self._replica)
-            return cfar_detect(power, params, factor=self.plan.cfar_factor)
+            ws = self._detect_ws
+            J = params.num_channels
+            # The easy bins are the spectrum's centre block: a view, not a
+            # gather.  The hard bins hug both edges, so they are gathered;
+            # mode="wrap" indexes like fancy indexing, where the default
+            # "raise" would gather into a scratch copy first.
+            easy = slice(params.easy_bins[0], params.easy_bins[-1] + 1)
+            hard_in = np.take(
+                staggered, params.hard_bins, axis=0, mode="wrap",
+                out=ws.array("reference.hard_in",
+                             (params.num_hard_doppler,) + staggered.shape[1:],
+                             staggered.dtype),
+            )
+            easy_y = beamform_easy(staggered[easy, :J, :], easy_w, params, ws)
+            hard_y = beamform_hard(hard_in, hard_w, params, ws)
+            beams = assemble_beamformed(easy_y, hard_y, params, ws)
+            power = pulse_compress(beams, params, self._replica, ws)
+            return cfar_detect(
+                power, params, factor=self.plan.cfar_factor, workspace=ws
+            )
 
         # Train on this CPI for the *next* visit to this azimuth.  The
         # calling thread trains, so the hard weight split can take both
-        # cores once detection ends.
+        # cores once detection ends.  The easy block stays fresh: the
+        # history keeps it.
         def train():
             self.easy.push_training(extract_easy_training(staggered, params), azimuth)
-            self.hard.update(extract_hard_training(staggered, params), azimuth)
+            self.hard.update(
+                extract_hard_training(staggered, params, self._train_ws), azimuth
+            )
             self._easy_weights[azimuth] = self.easy.compute_weights(azimuth)
             self._hard_weights[azimuth] = self.hard.compute_weights(azimuth)
 

@@ -181,9 +181,9 @@ class TestOverlapIdentity:
         seen = {}
 
         def recording(name, kernel):
-            def wrapped(data, weights, params):
+            def wrapped(data, weights, params, *args, **kwargs):
                 seen[name] = digest(weights)
-                return kernel(data, weights, params)
+                return kernel(data, weights, params, *args, **kwargs)
 
             monkeypatch.setattr(reference, name, wrapped)
 

@@ -195,9 +195,9 @@ class TestSplitCutoffs:
         seen = []
         inner = hard_weights.qr_append_rows_stacked
 
-        def recording(state, rows, forget):
+        def recording(state, rows, forget, **kwargs):
             seen.append(state.shape[0])
-            return inner(state, rows, forget=forget)
+            return inner(state, rows, forget=forget, **kwargs)
 
         self.monkeypatch.setattr(hard_weights, "qr_append_rows_stacked", recording)
         training = np.zeros((units, 4, n2), dtype=complex)
