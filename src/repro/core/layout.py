@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 from repro.core.assignment import Assignment, TASK_NAMES
 from repro.core.partition import BlockPartition, HardUnitPartition
 from repro.core.redistribution import (
+    EDGE_TOPOLOGY,
     EdgePlan,
     plan_bins_edge,
     plan_dop_to_bf,
@@ -27,19 +28,6 @@ from repro.core.redistribution import (
 )
 from repro.errors import ConfigurationError
 from repro.radar.parameters import STAPParams
-
-#: Edges of the task graph in dataflow order: (edge name, src task, dst task).
-EDGE_TOPOLOGY = (
-    ("dop_to_easy_weight", "doppler", "easy_weight"),
-    ("dop_to_hard_weight", "doppler", "hard_weight"),
-    ("dop_to_easy_bf", "doppler", "easy_beamform"),
-    ("dop_to_hard_bf", "doppler", "hard_beamform"),
-    ("easy_weight_to_bf", "easy_weight", "easy_beamform"),
-    ("hard_weight_to_bf", "hard_weight", "hard_beamform"),
-    ("easy_bf_to_pc", "easy_beamform", "pulse_compression"),
-    ("hard_bf_to_pc", "hard_beamform", "pulse_compression"),
-    ("pc_to_cfar", "pulse_compression", "cfar"),
-)
 
 
 @dataclass

@@ -156,13 +156,6 @@ class BlockPartition:
         """Part owning the item at ``position`` within ``ids``."""
         return block_of(len(self.ids), self.parts, position)
 
-    def position_of_id(self, global_id: int) -> int:
-        """Position of a global id within ``ids`` (raises if absent)."""
-        try:
-            return self.ids.index(int(global_id))
-        except ValueError:
-            raise ConfigurationError(f"id {global_id} not in partition") from None
-
     def intersect(self, part: int, other_ids) -> np.ndarray:
         """Global ids owned by ``part`` that also appear in ``other_ids``.
 

@@ -36,19 +36,23 @@ from repro.errors import ConfigurationError
 from repro.radar.parameters import STAPParams
 from repro.stap.easy_weights import select_range_samples
 
-# Tag codes: tag = cpi_index * TAG_STRIDE + code.
+#: Edges of the task graph in dataflow order: (edge name, src task, dst task).
+EDGE_TOPOLOGY = (
+    ("dop_to_easy_weight", "doppler", "easy_weight"),
+    ("dop_to_hard_weight", "doppler", "hard_weight"),
+    ("dop_to_easy_bf", "doppler", "easy_beamform"),
+    ("dop_to_hard_bf", "doppler", "hard_beamform"),
+    ("easy_weight_to_bf", "easy_weight", "easy_beamform"),
+    ("hard_weight_to_bf", "hard_weight", "hard_beamform"),
+    ("easy_bf_to_pc", "easy_beamform", "pulse_compression"),
+    ("hard_bf_to_pc", "hard_beamform", "pulse_compression"),
+    ("pc_to_cfar", "pulse_compression", "cfar"),
+)
+
+# Tag codes: tag = cpi_index * TAG_STRIDE + code, the code being the
+# edge's position in EDGE_TOPOLOGY.
 TAG_STRIDE = 16
-TAG_CODES = {
-    "dop_to_easy_weight": 0,
-    "dop_to_hard_weight": 1,
-    "dop_to_easy_bf": 2,
-    "dop_to_hard_bf": 3,
-    "easy_weight_to_bf": 4,
-    "hard_weight_to_bf": 5,
-    "easy_bf_to_pc": 6,
-    "hard_bf_to_pc": 7,
-    "pc_to_cfar": 8,
-}
+TAG_CODES = {name: code for code, (name, _src, _dst) in enumerate(EDGE_TOPOLOGY)}
 
 
 def validate_tag_space(stride: int = None, codes: dict = None) -> None:

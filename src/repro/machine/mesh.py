@@ -114,11 +114,5 @@ class Mesh2D:
             for nb in self.neighbors(node):
                 yield Link(node, nb)
 
-    def link_label(self, link: Link) -> str:
-        """Coordinate-form label, e.g. ``"(0,0)->(1,0)"`` (timeline tracks)."""
-        sx, sy = self.coords(link.src)
-        dx, dy = self.coords(link.dst)
-        return f"({sx},{sy})->({dx},{dy})"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Mesh2D({self.width}x{self.height}, {self.num_nodes} nodes)"

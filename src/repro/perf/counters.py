@@ -16,18 +16,12 @@ def snapshot_counters(sim, world=None) -> dict:
     :class:`~repro.des.backends.plan.EnginePlan` took to build (zero for
     the reference engine, which lowers nothing).
     """
-    counters = {
-        "events_processed": sim.events_processed,
-        "match_probes": 0,
-        "sends_posted": 0,
-        "recvs_posted": 0,
-        "wildcard_recvs": 0,
-        "wildcard_hits": 0,
-        "network_messages": 0,
-        "network_bytes": 0,
-        "backend": getattr(sim, "backend", "python"),
-        "plan_build_seconds": 0.0,
-    }
+    counters = dict.fromkeys(PerfReport.counter_names(), 0)
+    counters.update(
+        events_processed=sim.events_processed,
+        backend=getattr(sim, "backend", "python"),
+        plan_build_seconds=0.0,
+    )
     if world is not None:
         plan = getattr(world, "engine_plan", None)
         counters.update(
@@ -44,6 +38,10 @@ def snapshot_counters(sim, world=None) -> dict:
     return counters
 
 
+#: Field metadata of the raw registered counters of a :class:`PerfReport`.
+_COUNTER = {"counter": True}
+
+
 @dataclass
 class PerfReport:
     """Wall-clock cost of one simulation run.
@@ -58,14 +56,14 @@ class PerfReport:
     wall_seconds: float
     sim_seconds: float
     num_cpis: int
-    events_processed: int
-    match_probes: int = 0
-    sends_posted: int = 0
-    recvs_posted: int = 0
-    wildcard_recvs: int = 0
-    wildcard_hits: int = 0
-    network_messages: int = 0
-    network_bytes: int = 0
+    events_processed: int = field(metadata=_COUNTER)
+    match_probes: int = field(default=0, metadata=_COUNTER)
+    sends_posted: int = field(default=0, metadata=_COUNTER)
+    recvs_posted: int = field(default=0, metadata=_COUNTER)
+    wildcard_recvs: int = field(default=0, metadata=_COUNTER)
+    wildcard_hits: int = field(default=0, metadata=_COUNTER)
+    network_messages: int = field(default=0, metadata=_COUNTER)
+    network_bytes: int = field(default=0, metadata=_COUNTER)
     #: Which simulator core ran, and so which transfer implementation
     #: carried the messages: ``lowered`` (slot records, every contention
     #: mode) or ``python`` (the reference network).
@@ -124,39 +122,21 @@ class PerfReport:
         vanishes from the output reads as "unchanged" when it actually
         dropped to zero.
         """
-        return {
-            "events_processed": self.events_processed,
-            "match_probes": self.match_probes,
-            "sends_posted": self.sends_posted,
-            "recvs_posted": self.recvs_posted,
-            "wildcard_recvs": self.wildcard_recvs,
-            "wildcard_hits": self.wildcard_hits,
-            "network_messages": self.network_messages,
-            "network_bytes": self.network_bytes,
-        }
+        return {name: getattr(self, name) for name in self.counter_names()}
+
+    @classmethod
+    def counter_names(cls) -> tuple:
+        """Names of the raw registered counters, in field order."""
+        return tuple(f.name for f in fields(cls) if f.metadata.get("counter"))
 
     def to_dict(self) -> dict:
         """JSON-serializable view (raw counters plus derived rates)."""
-        return {
-            "label": self.label,
-            "wall_seconds": self.wall_seconds,
-            "sim_seconds": self.sim_seconds,
-            "num_cpis": self.num_cpis,
-            "events_processed": self.events_processed,
-            "match_probes": self.match_probes,
-            "sends_posted": self.sends_posted,
-            "recvs_posted": self.recvs_posted,
-            "wildcard_recvs": self.wildcard_recvs,
-            "wildcard_hits": self.wildcard_hits,
-            "network_messages": self.network_messages,
-            "network_bytes": self.network_bytes,
-            "backend": self.backend,
-            "plan_build_seconds": self.plan_build_seconds,
-            "events_per_second": self.events_per_second,
-            "probes_per_message": self.probes_per_message,
-            "wall_seconds_per_cpi": self.wall_seconds_per_cpi,
-            **self.extras,
-        }
+        doc = {"label": self.label}
+        doc.update((f.name, getattr(self, f.name)) for f in fields(self)
+                   if f.name not in ("label", "extras"))
+        doc.update((key, getattr(self, key)) for key in self._DERIVED_KEYS)
+        doc.update(self.extras)
+        return doc
 
     def summary(self) -> str:
         """Human-readable block for CLI output."""

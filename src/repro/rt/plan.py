@@ -56,10 +56,9 @@ EDGES: Dict[str, Tuple[str, str]] = {
 def edge_specs(params: STAPParams) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]]:
     """Payload ``(shape, dtype)`` of every edge, from the algorithm shape.
 
-    Shapes are exactly what the sequential chain materializes between
-    kernels (the Doppler filter emits complex128 regardless of the cube
-    dtype; pulse compression emits the params' real dtype), so a consumer
-    slicing a channel view sees byte-identical strides to the serial code.
+    Shapes and dtypes are exactly what the sequential chain materializes
+    between kernels (the Doppler filter emits complex128 regardless of the
+    cube dtype; pulse compression emits the params' real dtype).
     """
     ne = params.num_easy_doppler
     nh = params.num_hard_doppler

@@ -154,12 +154,8 @@ def run_easy_weight(ctx: RtContext, replica: int,
         azimuth = s % A
         slot, view = ctx.recv("easy_train", s % r_d, replica, s, metrics)
         # The computer's history keeps the array across visits, so take
-        # ownership with a copy before handing the slot back.  The copy
-        # takes extract_easy_training's memory order, (rows, bins, J), not
-        # the slot's: the weights' data level sums in memory order.
-        bins, rows, channels = view.shape
-        training = np.empty((rows, bins, channels), view.dtype).transpose(1, 0, 2)
-        training[...] = view
+        # ownership with a copy before handing the slot back.
+        training = view.copy()
         ctx.channel("easy_train", s % r_d, replica).release(slot)
         started = _comp_clock(metrics)
         computer.push_training(training, azimuth)

@@ -222,13 +222,6 @@ def _filter_cells(data, gains, window, stagger, out, lo, hi) -> None:
         rows[:cells, :, :, win_len:] = 0
 
 
-def doppler_bin_frequencies(params: STAPParams) -> np.ndarray:
-    """Normalized Doppler frequency (cycles/PRI) at each FFT bin centre."""
-    N = params.num_doppler
-    freqs = np.fft.fftfreq(N)
-    return freqs
-
-
 def nearest_bin(params: STAPParams, normalized_doppler: float) -> int:
     """FFT bin whose centre frequency is nearest ``normalized_doppler``."""
     N = params.num_doppler

@@ -29,7 +29,7 @@ from repro.stap.lsq import (
     solve_constrained,
     solve_constrained_stacked,
 )
-from repro.stap.workspace import scratch, scratch_like
+from repro.stap.workspace import scratch
 
 #: Number of preceding CPIs whose samples form the easy training set.
 HISTORY_LENGTH = 3
@@ -72,18 +72,32 @@ def extract_easy_training(staggered: np.ndarray, params: STAPParams) -> np.ndarr
     """
     J = params.num_channels
     sel = select_range_samples(params.num_ranges, params.easy_train_per_cpi)
-    # One gather of just the selected cells, laid out (count, N_easy, J) in
-    # memory as a gather of range cells from the (N_easy, J, K) easy cube
-    # lays it out.  The weights' bits depend on it: their data level (a
-    # mean over rows and channels) sums in memory order, and the history
-    # concatenation keeps the order.
-    block = staggered[
-        np.asarray(params.easy_bins)[None, :, None],
-        np.arange(J)[None, None, :],
-        sel[:, None, None],
-    ]
+    bins = np.asarray(params.easy_bins)
+    # One gather of just the selected cells; the advanced indices, split by
+    # the slice, place the broadcast (bins, rows) axes first.
+    block = staggered[bins[:, None], :J, sel[None, :]]
     np.conjugate(block, out=block)
-    return block.transpose(1, 0, 2)
+    return block
+
+
+def data_level(training: np.ndarray, workspace=None) -> np.ndarray:
+    """Per-bin mean magnitude of (B, rows, J) training: shape (B,).
+
+    The summation order is fixed, whatever the training's memory order or
+    the number of bins beside it: each row's channels are summed pairwise
+    (NumPy's sum over a contiguous axis), then the rows are accumulated in
+    order.  So any block of bins, however it was assembled, gets the
+    reference's bits.
+    """
+    num_bins, rows, J = training.shape
+    magnitudes = scratch(workspace, "easy_weights.magnitudes", training.shape,
+                         np.finfo(training.dtype).dtype)
+    np.abs(training, out=magnitudes)
+    row_sums = scratch(workspace, "easy_weights.row_sums", (num_bins, rows),
+                       magnitudes.dtype)
+    np.sum(magnitudes, axis=2, out=row_sums)
+    np.cumsum(row_sums, axis=1, out=row_sums)
+    return row_sums[:, -1] / (rows * J)
 
 
 def compute_easy_weights(
@@ -111,13 +125,10 @@ def compute_easy_weights(
     if num_bins == 0:
         return np.empty((0, J, steering.shape[1]), dtype=complex)
     start = perf_counter() if metrics_registry.enabled else None
-    # Vectorized per-bin data level; the diagonal constraint is the only
-    # per-bin part of the constraint block, so it is built by index
-    # assignment instead of B dense J x J materializations.
-    # The mean sums in memory order, so the magnitudes keep the stack's.
-    magnitudes = scratch_like(workspace, "easy_weights.magnitudes", stacked,
-                              np.finfo(stacked.dtype).dtype)
-    scales = np.mean(np.abs(stacked, out=magnitudes), axis=(1, 2))
+    # The diagonal constraint is the only per-bin part of the constraint
+    # block, so it is built by index assignment instead of B dense J x J
+    # materializations.
+    scales = data_level(stacked, workspace)
     scales[scales <= 0.0] = 1.0
     # Regular QR of the training data, then the constraint block is
     # appended (the "block update to add in the beam shape constraints").
@@ -161,7 +172,7 @@ def compute_easy_weights_loop(
     weights = np.empty((num_bins, J, steering.shape[1]), dtype=complex)
     for idx in range(num_bins):
         data = stacked[idx]
-        scale = float(np.mean(np.abs(data)))
+        scale = float(data_level(stacked[idx:idx + 1])[0])
         if scale <= 0.0:
             scale = 1.0
         r_data = qr_factor(data)
@@ -223,12 +234,10 @@ class EasyWeightComputer:
         history = self._history.get(azimuth)
         if not history:
             return self.plan.cold_easy_weights(self.bins)
-        # (B, <=3c, J) in the blocks' memory order, as np.concatenate lays
-        # it out: the data level sums in memory order.
         first = history[0]
         rows = sum(block.shape[1] for block in history)
-        stacked = scratch_like(self._workspace, "easy_weights.stacked", first,
-                               first.dtype, (first.shape[0], rows, first.shape[2]))
+        stacked = scratch(self._workspace, "easy_weights.stacked",
+                          (first.shape[0], rows, first.shape[2]), first.dtype)
         np.concatenate(list(history), axis=1, out=stacked)
         return compute_easy_weights(
             stacked, self.plan.steering, self.params.beam_constraint_weight,

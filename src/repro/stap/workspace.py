@@ -51,16 +51,3 @@ def scratch(workspace: Optional[Workspace], name: str, shape, dtype) -> np.ndarr
         return np.empty(shape, dtype=dtype)
     return workspace.array(name, shape, dtype)
 
-
-def scratch_like(
-    workspace: Optional[Workspace], name: str, like: np.ndarray, dtype, shape=None
-) -> np.ndarray:
-    """Like :func:`scratch`, shaped like ``like`` (or ``shape``) and laid
-    out in ``like``'s memory order (its axes sorted by stride), as NumPy
-    lays out a fresh ``np.abs(like)`` or a concatenation of blocks like
-    it.  A reduction over the result then sums in the order it would
-    over such a fresh array."""
-    shape = like.shape if shape is None else tuple(shape)
-    order = sorted(range(like.ndim), key=lambda axis: -abs(like.strides[axis]))
-    base = scratch(workspace, name, [shape[axis] for axis in order], dtype)
-    return base.transpose(np.argsort(order))

@@ -12,7 +12,8 @@ values.
 The same holds one level up: the beamformers and the weight computers
 take any block of bins or (segment, bin) units, and a call on a block
 equals the full-extent call sliced — what lets the simulator's tasks and
-the real runtime run the reference's code on their own blocks.
+the real runtime run the reference's code on their own blocks.  The easy
+weight computer's two sides get their training in random memory orders.
 
 The one documented exception: a single-column right-hand side (M=1) may
 differ by a few ULP because BLAS dispatches ``gemv`` instead of ``gemm``.
@@ -241,6 +242,18 @@ def _beamform_hard_block(rng, params, visits):
             beamform_hard(data, weights, params)[idx])
 
 
+def _laid_out(rng, training):
+    """(bins, rows, J) ``training`` in a random memory order: C-ordered, as
+    a rank assembles its blocks, or (rows, bins, J), as a gather of range
+    cells from the (bins, J, K) easy cube lays it out."""
+    if rng.random() < 0.5:
+        return np.ascontiguousarray(training)
+    bins, rows, J = training.shape
+    out = np.empty((rows, bins, J), training.dtype).transpose(1, 0, 2)
+    out[...] = training
+    return out
+
+
 def _easy_computer_block(rng, params, visits):
     plan = default_plan(params)
     idx = _block(rng, params.num_easy_doppler)
@@ -249,8 +262,8 @@ def _easy_computer_block(rng, params, visits):
     for _ in range(visits):  # 0 visits: the cold start
         training = _crandn(rng, (params.num_easy_doppler,
                                  params.easy_train_per_cpi, params.num_channels))
-        full.push_training(training)
-        block.push_training(training[idx])
+        full.push_training(_laid_out(rng, training))
+        block.push_training(_laid_out(rng, training[idx]))
     return block.compute_weights(), full.compute_weights()[idx]
 
 

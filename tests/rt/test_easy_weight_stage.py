@@ -1,14 +1,11 @@
 """The easy weight stage sends the reference's weights, bit for bit.
 
-The stage copies each training block out of its channel slot, and the
-weights' data level (a mean over rows and channels) sums in memory order.
-So the copy must take the memory order the reference's
-``extract_easy_training`` gives its blocks, not the slot's C order: with
-a C-ordered copy the weights differed from the reference's in the last
-bits, which at paper scale reached one CFAR threshold (seed 14, CPI 16 of
-the ``rt-paper`` benchmark).  Running the Doppler and easy weight stage
-bodies in this process (real channels, no fork) compares the weights
-sent for CPI 1 with the reference's pending weights after CPI 0.
+The stage copies each training block out of its channel slot before it
+hands the slot back.  A difference in the weights' last bits once reached
+one CFAR threshold at paper scale (seed 14, CPI 16 of the ``rt-paper``
+benchmark).  Running the Doppler and easy weight stage bodies in this
+process (real channels, no fork) compares the weights sent for CPI 1 with
+the reference's pending weights after CPI 0.
 """
 
 import multiprocessing

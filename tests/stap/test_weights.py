@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import CPIStream
 from repro.errors import ConfigurationError
 from repro.radar import STAPParams, RadarScenario, generate_cpi
 from repro.stap.doppler import doppler_filter
@@ -14,8 +15,10 @@ from repro.stap.easy_weights import (
 )
 from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
 from repro.stap.lsq import quiescent_weights
-from repro.stap.plan import KernelPlan
+from repro.stap.plan import KernelPlan, default_plan
 from repro.stap.reference import default_steering
+
+from tests.core.test_golden_functional import golden_scenario
 
 
 @pytest.fixture
@@ -130,6 +133,26 @@ class TestEasyWeightComputer:
     def test_compute_easy_weights_validates(self, steering):
         with pytest.raises(ConfigurationError):
             compute_easy_weights(np.zeros((4, 4)), steering, 0.5)
+
+
+class TestEasyTrainingLayout:
+    def test_block_fed_c_ordered_training_equals_the_full_computer(self):
+        """An easy weight rank assembles C-ordered training blocks of its
+        own bins.  At paper scale a computer over easy bins 0-17 fed such
+        blocks gets the full computer's weights for those bins, bit for
+        bit, after each of three CPIs."""
+        params = STAPParams.paper()
+        plan = default_plan(params)
+        own = slice(0, 18)
+        full = EasyWeightComputer(plan)
+        block = EasyWeightComputer(plan, params.easy_bins[own])
+        for cube in CPIStream(params, golden_scenario()).take(3):
+            staggered = doppler_filter(cube, window=plan.doppler_window)
+            training = extract_easy_training(staggered, params)
+            full.push_training(training)
+            block.push_training(np.ascontiguousarray(training[own]))
+            assert np.array_equal(block.compute_weights(),
+                                  full.compute_weights()[own])
 
 
 class TestHardTraining:

@@ -1,7 +1,6 @@
 """Workspaces: kernels that write into reused buffers give the same bits.
 
 * :class:`Workspace` hands out views of one growing buffer per name;
-  :func:`scratch_like` keeps a template's memory order;
 * every kernel that takes a ``workspace`` returns the same bytes, shape
   and dtype as its allocating call, and a second call reuses the buffer
   of the first;
@@ -25,7 +24,7 @@ from repro.stap.easy_weights import EasyWeightComputer, extract_easy_training
 from repro.stap.hard_weights import HardWeightComputer, extract_hard_training
 from repro.stap.plan import default_plan
 from repro.stap.pulse_compression import pulse_compress
-from repro.stap.workspace import Workspace, scratch, scratch_like
+from repro.stap.workspace import Workspace, scratch
 
 from tests.core.test_golden_functional import golden_scenario
 
@@ -67,16 +66,6 @@ class TestWorkspace:
         a = scratch(None, "a", (3, 3), float)
         b = scratch(None, "a", (3, 3), float)
         assert not np.shares_memory(a, b)
-
-    @pytest.mark.parametrize("ws", [None, Workspace()])
-    def test_scratch_like_keeps_the_memory_order(self, ws):
-        like = np.empty((5, 7, 3), complex).transpose(1, 0, 2)
-        out = scratch_like(ws, "a", like, np.float64)
-        assert out.shape == like.shape
-        assert out.strides == np.abs(like).strides
-        stack = scratch_like(ws, "b", like, complex, shape=(7, 9, 3))
-        assert stack.shape == (7, 9, 3)
-        assert stack.strides == np.concatenate([like, like[:, :4]], axis=1).strides
 
 
 @pytest.fixture(scope="module")
