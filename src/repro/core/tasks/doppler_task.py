@@ -127,7 +127,8 @@ class DopplerTask(PipelineTask):
                     continue
                 bins = bins_partition.ids_of(message.dst)
                 # Advanced indexing already yields a fresh C-contiguous
-                # cube — one gather, no ascontiguousarray re-copy.
+                # cube — one gather, no ascontiguousarray re-copy — in
+                # the cube's dtype, so its bytes are the plan's.
                 payload = (
                     staggered[bins]
                     if use_both_windows

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
 from repro.stap.beamform import beamform_easy
+from repro.stap.doppler import staggered_dtype
 from repro.stap.flops import easy_beamform_flops
 
 
@@ -42,7 +43,8 @@ class EasyBeamformTask(PipelineTask):
             # never leak, and unwritten pad cells keep their initial zeros.
             params = self.params
             J, K, M = params.num_channels, params.num_ranges, params.num_beams
-            self._dop_buf = np.zeros((len(self.bins), J, K), dtype=complex)
+            self._dop_buf = np.zeros((len(self.bins), J, K),
+                                     dtype=staggered_dtype(params))
             self._w_buf = np.empty((len(self.bins), J, M), dtype=complex)
 
     # -- framework hooks ----------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.task import MODELED, PipelineTask
 from repro.stap.beamform import beamform_hard
+from repro.stap.doppler import staggered_dtype
 from repro.stap.flops import hard_beamform_flops
 from repro.stap.hard_weights import segment_grid
 
@@ -43,7 +44,7 @@ class HardBeamformTask(PipelineTask):
             # never leak, and unwritten pad cells keep their initial zeros.
             self._dop_buf = np.zeros(
                 (len(self.bins), params.num_staggered_channels, params.num_ranges),
-                dtype=complex,
+                dtype=staggered_dtype(params),
             )
             self._w_buf = np.empty_like(self._cold_weights)
 

@@ -474,6 +474,13 @@ class Communicator:
         ``src`` identifies the sending rank; rank programs normally call the
         bound helpers on :class:`~repro.mpi.context.RankContext` which fill
         it in automatically.
+
+        The send takes ownership of an ndarray ``payload``: it is not
+        copied, the receiver gets this very array, and it is marked
+        read-only.  This is MPI's buffer rule — the sender leaves a posted
+        buffer alone — made a check: a sender's later write raises
+        ``ValueError`` instead of changing the message.  A sender that
+        reuses a buffer sends a copy of it.
         """
         if src is None:
             raise MPIError("isend needs the sending rank (use RankContext.isend)")
@@ -481,13 +488,8 @@ class Communicator:
             raise MPIError(f"tags must be non-negative, got {tag}")
         if nbytes is None:
             nbytes = payload_nbytes(payload)
-        if payload is not None and isinstance(payload, np.ndarray):
-            # MPI owns the buffer for the duration of the send; emulate by
-            # copying so that sender-side mutation cannot race the transfer.
-            # Modeled mode passes payload=None with an explicit nbytes and
-            # must never pay for a copy (or the per-call numpy import this
-            # method used to do).
-            payload = payload.copy()
+        if isinstance(payload, np.ndarray):
+            payload.flags.writeable = False
         # Rank translation inlined (two method calls per send add up at
         # ~10^5 sends per run).
         ranks = self.world_ranks

@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.assignment import TASK_NAMES, Assignment
 from repro.errors import ConfigurationError
 from repro.radar.parameters import STAPParams
+from repro.stap.doppler import staggered_dtype
 
 #: Stages whose weight recursion state is keyed by azimuth; their
 #: replication is capped at the azimuth cycle (a replica per azimuth is
@@ -57,8 +58,11 @@ def edge_specs(params: STAPParams) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]
     """Payload ``(shape, dtype)`` of every edge, from the algorithm shape.
 
     Shapes and dtypes are exactly what the sequential chain materializes
-    between kernels (the Doppler filter emits complex128 regardless of the
-    cube dtype; pulse compression emits the params' real dtype).
+    between kernels: the staggered cube travels in the dtype its FFT
+    produces (:func:`~repro.stap.doppler.staggered_dtype`, complex64 at
+    paper parameters), and the easy beamformers get only the first
+    Doppler window; the training blocks, weights and beams are
+    complex128; pulse compression emits the params' real dtype.
     """
     ne = params.num_easy_doppler
     nh = params.num_hard_doppler
@@ -67,10 +71,11 @@ def edge_specs(params: STAPParams) -> Dict[str, Tuple[Tuple[int, ...], np.dtype]
     M = params.num_beams
     K = params.num_ranges
     S = params.num_segments
+    cube = staggered_dtype(params)
     c128 = np.dtype(np.complex128)
     return {
-        "easy_data": ((ne, n2, K), c128),
-        "hard_data": ((nh, n2, K), c128),
+        "easy_data": ((ne, J, K), cube),
+        "hard_data": ((nh, n2, K), cube),
         "easy_train": ((ne, params.easy_train_per_cpi, J), c128),
         "hard_train": ((S, nh, params.hard_train_samples, n2), c128),
         "easy_w": ((ne, J, M), c128),

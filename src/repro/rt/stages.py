@@ -6,10 +6,10 @@ the sequential reference (:class:`~repro.stap.reference.SequentialSTAP`)
 and the simulator's tasks call — the :mod:`repro.stap` kernels, the
 weight computers and the plan's cold-start weights — on arrays with the
 reference's memory layout: the channels carry the blocks the reference
-materializes (``staggered[easy_bins]``, training extracts, weight
-tensors), and consumers take the same views of them (``[:, :J, :]``).
-What this module adds is transport: shared-memory channels, routing and
-the per-stage metrics.  Every array a worker sends is copied into a
+materializes (``staggered[easy_bins, :J]`` and ``staggered[hard_bins]``
+in the cube's own dtype, training extracts, weight tensors).  What this
+module adds is transport: shared-memory channels, routing and the
+per-stage metrics.  Every array a worker sends is copied into a
 channel slot, so each worker computes into its own
 :class:`~repro.stap.workspace.Workspace` and allocates no per-CPI
 cube; only the easy training block stays fresh, as the reference's
@@ -105,6 +105,8 @@ def run_doppler(ctx: RtContext, replica: int, metrics: StageMetrics) -> None:
     r_hw = plan.of("hard_weight")
     r_ebf = plan.of("easy_beamform")
     r_hbf = plan.of("hard_beamform")
+    J = params.num_channels
+    easy = slice(params.easy_bins[0], params.easy_bins[-1] + 1)
     ws = Workspace()
     for i in ctx.my_cpis("doppler", replica):
         ctx.post(("start", i, perf_counter()))
@@ -121,19 +123,22 @@ def run_doppler(ctx: RtContext, replica: int, metrics: StageMetrics) -> None:
         easy_train = extract_easy_training(staggered, params)
         hard_train = extract_hard_training(staggered, params, ws)
         comp = perf_counter() - clock
-        # The exact blocks the sequential reference materializes with
-        # fancy indexing (``staggered[bins]``, C-contiguous), gathered
-        # straight into the channel slots.  Waiting for a slot counts as
-        # backpressure, the gathers as comp: one observation per CPI.
-        for edge, bins, dst in (("easy_data", params.easy_bins, i % r_ebf),
-                                ("hard_data", params.hard_bins, i % r_hbf)):
+        # The blocks the sequential reference beamforms, copied straight
+        # into the channel slots: the easy bins' first Doppler window (a
+        # centre block of bins, so a plain copy) and the hard bins (both
+        # edges, so a gather).  Waiting for a slot counts as
+        # backpressure, the copies as comp: one observation per CPI.
+        for edge, dst in (("easy_data", i % r_ebf), ("hard_data", i % r_hbf)):
             channel = ctx.channel(edge, replica, dst)
             slot = channel.claim(ctx.abort, metrics.timed_backpressure)
             clock = perf_counter()
-            # mode="wrap" indexes like fancy indexing; the default "raise"
-            # would gather into a scratch copy of the slot first.
-            np.take(staggered, bins, axis=0, out=channel.view(slot),
-                    mode="wrap")
+            if edge == "easy_data":
+                np.copyto(channel.view(slot), staggered[easy, :J, :])
+            else:
+                # mode="wrap" indexes like fancy indexing; the default
+                # "raise" would gather into a scratch copy of the slot.
+                np.take(staggered, params.hard_bins, axis=0,
+                        out=channel.view(slot), mode="wrap")
             comp += perf_counter() - clock
             channel.publish(slot, i)
         metrics.observe_comp(comp)
@@ -202,7 +207,6 @@ def run_easy_beamform(ctx: RtContext, replica: int,
                       metrics: StageMetrics) -> None:
     params, plan = ctx.params, ctx.plan
     A = ctx.azimuth_cycle
-    J = params.num_channels
     r_d = plan.of("doppler")
     r_ew = plan.of("easy_weight")
     r_pc = plan.of("pulse_compression")
@@ -219,7 +223,7 @@ def run_easy_beamform(ctx: RtContext, replica: int,
             src = azimuth % r_ew
             wslot, weights = ctx.recv("easy_w", src, replica, i, metrics)
         started = _comp_clock(metrics)
-        beams = beamform_easy(data[:, :J, :], weights, params, ws)
+        beams = beamform_easy(data, weights, params, ws)
         _comp_done(metrics, started)
         if wslot is not None:
             ctx.channel("easy_w", src, replica).release(wslot)

@@ -15,6 +15,12 @@ with the conjugated weights, ``y[n]^T = x[n]^T conj(w[n])`` — the product
 ``np.einsum("njm,njk->nmk", ...)`` dispatches to — written straight into
 a (bins, K, M) buffer; the result is its (bins, M, K) transpose, as
 ``einsum`` returns it.
+
+The staggered cube arrives in its own dtype (complex64 at paper
+parameters) and the weights in complex128.  The data is widened exactly
+into a complex128 buffer a few bins (easy) or one range segment (hard)
+at a time, about :data:`WIDEN_BYTES` or less, so the products are those
+of complex128 data while no widened copy of a whole cube exists.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 from repro.stap.workspace import scratch
 
+#: Bytes of complex128 data the easy beamformer widens per block of bins
+#: (eight paper-scale bins).
+WIDEN_BYTES = 1 << 20
+
 
 def beamform_easy(
     dop_easy: np.ndarray, weights: np.ndarray, params: STAPParams, workspace=None
@@ -39,7 +49,7 @@ def beamform_easy(
     dop_easy:
         (B, J, K) — easy bins of the staggered cube, first Doppler window
         only (all N_easy of them in the reference, a rank's block in the
-        parallel task).
+        parallel task), in any complex dtype.
     weights:
         (B, J, M) easy weights of the same bins.
     workspace:
@@ -48,9 +58,9 @@ def beamform_easy(
 
     Returns
     -------
-    (B, M, K) beamformed data, freshly allocated without a workspace.
-    Each bin is computed on its own, so a block's result equals the
-    full-extent result's rows.
+    (B, M, K) complex128 beamformed data, freshly allocated without a
+    workspace.  Each bin is computed on its own, so a block's result
+    equals the full-extent result's rows.
     """
     J, K, M = params.num_channels, params.num_ranges, params.num_beams
     if dop_easy.ndim != 3 or dop_easy.shape[1:] != (J, K):
@@ -61,11 +71,16 @@ def beamform_easy(
     if weights.shape != expected_w:
         raise ConfigurationError(f"easy weights shape {weights.shape} != {expected_w}")
     start = perf_counter() if metrics_registry.enabled else None
-    out = scratch(
-        workspace, "beamform.easy", (dop_easy.shape[0], K, M),
-        np.result_type(weights.dtype, dop_easy.dtype),
-    )
-    np.matmul(dop_easy.transpose(0, 2, 1), np.conj(weights), out=out)
+    num_bins = dop_easy.shape[0]
+    out = scratch(workspace, "beamform.easy", (num_bins, K, M), complex)
+    step = max(1, WIDEN_BYTES // (J * K * np.dtype(complex).itemsize))
+    wide = scratch(workspace, "beamform.wide", (min(step, num_bins), J, K), complex)
+    conj_weights = np.conj(weights)
+    for lo in range(0, num_bins, step):
+        hi = min(lo + step, num_bins)
+        np.copyto(wide[: hi - lo], dop_easy[lo:hi])
+        np.matmul(wide[: hi - lo].transpose(0, 2, 1), conj_weights[lo:hi],
+                  out=out[lo:hi])
     out = out.transpose(0, 2, 1)
     if start is not None:
         from repro.stap.flops import easy_beamform_flops
@@ -87,7 +102,8 @@ def beamform_hard(
     Parameters
     ----------
     dop_hard:
-        (B, 2J, K) — hard bins of the staggered cube, both windows.
+        (B, 2J, K) — hard bins of the staggered cube, both windows, in
+        any complex dtype.
     weights:
         (num_segments, B, 2J, M) hard weights of the same bins.
     workspace:
@@ -96,10 +112,10 @@ def beamform_hard(
 
     Returns
     -------
-    (B, M, K) beamformed data, freshly allocated without a workspace;
-    range segment ``s`` of the output uses segment ``s``'s weights.  Each
-    bin is computed on its own, so a block's result equals the
-    full-extent result's rows.
+    (B, M, K) complex128 beamformed data, freshly allocated without a
+    workspace; range segment ``s`` of the output uses segment ``s``'s
+    weights.  Each bin is computed on its own, so a block's result equals
+    the full-extent result's rows.
     """
     n2, K = params.num_staggered_channels, params.num_ranges
     if dop_hard.ndim != 3 or dop_hard.shape[1:] != (n2, K):
@@ -114,8 +130,12 @@ def beamform_hard(
     out = scratch(
         workspace, "beamform.hard", (num_bins, K, params.num_beams), complex
     )
+    longest = max(seg.stop - seg.start for seg in params.segment_slices)
+    wide = scratch(workspace, "beamform.wide", (num_bins, n2, longest), complex)
     for seg_idx, seg in enumerate(params.segment_slices):
-        np.matmul(dop_hard[:, :, seg].transpose(0, 2, 1), np.conj(weights[seg_idx]),
+        seg_wide = wide[:, :, : seg.stop - seg.start]
+        np.copyto(seg_wide, dop_hard[:, :, seg])
+        np.matmul(seg_wide.transpose(0, 2, 1), np.conj(weights[seg_idx]),
                   out=out[:, seg, :])
     out = out.transpose(0, 2, 1)
     if start is not None:

@@ -15,6 +15,14 @@ pulse ranges of a block side by side into one zero-padded buffer and
 runs a single FFT over it.  Large blocks of range cells are split across
 the host's cores (:mod:`repro.stap.threads`), the in-process form of the
 paper's K partition of this task.  Neither changes a bit of the output.
+
+The staggered cube keeps the dtype its FFT produces
+(:func:`staggered_dtype`): complex64 for the paper's single-precision
+cubes, the 8 bytes per sample the paper's messages carry.  NumPy
+computes a complex64 FFT in double precision and rounds the result, so
+the kernel transforms in a complex128 buffer — the same bits, and about
+three times faster than NumPy's complex64 entry point — and rounds each
+block once, before the corner turn.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from repro.radar.datacube import CPIDataCube
 from repro.radar.parameters import STAPParams
 from repro.radar.windows import window_by_name
 from repro.stap.threads import split_batch
-from repro.stap.workspace import scratch
+from repro.stap.workspace import local, scratch
 
 
 def stagger_phase(params: STAPParams, doppler_bins) -> np.ndarray:
@@ -42,6 +50,14 @@ def stagger_phase(params: STAPParams, doppler_bins) -> np.ndarray:
     """
     bins = np.asarray(doppler_bins)
     return np.exp(2j * np.pi * bins * params.stagger / params.num_doppler)
+
+
+def staggered_dtype(params: STAPParams) -> np.dtype:
+    """Dtype of the staggered cube of a ``params.dtype`` cube: the result
+    dtype of its windowed FFT (complex64 at paper parameters; complex128
+    with range correction, whose gains are double precision)."""
+    gains = (np.float64,) if params.range_correction else ()
+    return np.result_type(params.dtype, params.real_dtype, *gains)
 
 
 def doppler_filter(
@@ -69,8 +85,9 @@ def doppler_filter(
     -------
     numpy.ndarray
         Staggered Doppler data of shape (N, 2J, K): Doppler bin x staggered
-        channel x range cell.  Channels ``[:J]`` hold the first (early)
-        window, ``[J:]`` the second (late, staggered) window.  The
+        channel x range cell, in the FFT's result dtype (see
+        :func:`doppler_filter_block`).  Channels ``[:J]`` hold the first
+        (early) window, ``[J:]`` the second (late, staggered) window.  The
         bin-major layout makes the downstream per-Doppler-bin tasks
         unit-stride in range — the reorganization the paper performs during
         inter-task redistribution (Figure 8).
@@ -105,8 +122,9 @@ def range_correction_factors(params: STAPParams, k_start: int, count: int) -> np
 
 
 #: Range cells per cache block: at paper scale a (cells, 2, J, N)
-#: complex64 block is 512 KB, so the windowed rows and their spectra stay
-#: in cache between the multiply, the FFT and the transposed write.
+#: complex128 block is 1 MB and its complex64 rounding 512 KB, so the
+#: windowed rows and their spectra stay in cache between the multiply,
+#: the FFT, the rounding and the transposed write.
 BLOCK_CELLS = 16
 
 #: Fewest input samples (cells x J x N) per thread worth a split: 16
@@ -142,8 +160,13 @@ def doppler_filter_block(
     from the params — identical values either way.
 
     ``workspace``: optional :class:`~repro.stap.workspace.Workspace` whose
-    buffer receives the output, valid until the next call with it; the
-    output is fresh without one.
+    buffer receives the output, valid until the next call with it, and
+    whose per-thread children hold each thread's block buffers; both are
+    fresh without one.
+
+    The output's dtype is that of the windowed FFT,
+    ``np.result_type(data, window)`` (and the range-correction gains):
+    complex64 for a complex64 cube, as :func:`staggered_dtype` gives it.
 
     The slice is split along range cells over the kernel threads
     (:mod:`repro.stap.threads`) once it holds at least
@@ -172,10 +195,13 @@ def doppler_filter_block(
 
     start = perf_counter() if metrics_registry.enabled else None
     num_cells = data.shape[0]
-    out = scratch(workspace, "doppler.staggered", (N, 2 * J, num_cells), np.complex128)
+    factors = (window,) if gains is None else (gains, window)
+    dtype = np.result_type(data.dtype, *(f.dtype for f in factors))
+    out = scratch(workspace, "doppler.staggered", (N, 2 * J, num_cells), dtype)
 
     def filter_cells(lo: int, hi: int) -> None:
-        _filter_cells(data, gains, window, params.stagger, out, lo, hi)
+        _filter_cells(data, gains, window, params.stagger, out, lo, hi,
+                      local(workspace))
 
     split_batch(filter_cells, num_cells, min_split_cells(params))
     if start is not None:
@@ -188,25 +214,28 @@ def doppler_filter_block(
     return out
 
 
-def _filter_cells(data, gains, window, stagger, out, lo, hi) -> None:
+def _filter_cells(data, gains, window, stagger, out, lo, hi, workspace=None) -> None:
     """Doppler-filter range cells ``[lo, hi)`` of ``data`` into ``out``.
 
     Per block of :data:`BLOCK_CELLS` cells, both windows — pulses
     ``[0, N-s)`` and ``[s, N)`` — are written side by side into one
-    zero-padded ``(cells, 2, J, N)`` buffer, one in-place FFT runs along
-    the pulse axis (unit stride in the corner-turned cube — the whole point
-    of partitioning this task along K, Section 5.1), and the spectra are
-    transposed into ``out``'s ``(N, 2J, k)`` layout.  The multiplies use
-    the same operand dtypes as a plain ``data[..., :N-s] * window``, the
-    pad columns are zero as in ``np.fft.fft(..., n=N)``, and the spectra
-    keep the FFT's own result dtype, so the values match a separate FFT
-    per window exactly.
+    zero-padded complex128 ``(cells, 2, J, N)`` buffer, one in-place FFT
+    runs along the pulse axis (unit stride in the corner-turned cube — the
+    whole point of partitioning this task along K, Section 5.1), the
+    spectra are rounded to ``out``'s dtype and transposed into ``out``'s
+    ``(N, 2J, k)`` layout.  The multiplies run in ``out``'s dtype, as a
+    plain ``data[..., :N-s] * window`` does, and are widened exactly; the
+    pad columns are zero as in ``np.fft.fft(..., n=N)``; and NumPy's FFT
+    of a complex64 array is the rounded complex128 FFT of the same values.
+    So the values match a separate FFT per window exactly.  ``workspace``:
+    the running thread's own, for the two block buffers (fresh without).
     """
     J, N = data.shape[1], data.shape[2]
     win_len = N - stagger
-    factors = (window,) if gains is None else (gains, window)
-    dtype = np.result_type(data.dtype, *(f.dtype for f in factors))
-    rows = np.zeros((min(BLOCK_CELLS, hi - lo), 2, J, N), dtype=dtype)
+    shape = (min(BLOCK_CELLS, hi - lo), 2, J, N)
+    wide = scratch(workspace, "doppler.wide", shape, np.complex128)
+    rows = scratch(workspace, "doppler.rows", shape, out.dtype)
+    wide[..., win_len:] = 0
     # (N, 2J, k) viewed as (N, 2, J, k): window h, channel j -> h*J + j.
     out4 = out.reshape(N, 2, J, out.shape[2])
     for first in range(lo, hi, BLOCK_CELLS):
@@ -214,12 +243,15 @@ def _filter_cells(data, gains, window, stagger, out, lo, hi) -> None:
         block = data[first : first + cells]
         if gains is not None:
             block = block * gains[first : first + cells, None, None]
-        np.multiply(block[:, :, :win_len], window, out=rows[:cells, 0, :, :win_len])
-        np.multiply(block[:, :, stagger:], window, out=rows[:cells, 1, :, :win_len])
-        spectra = np.fft.fft(rows[:cells], axis=3, out=rows[:cells])
-        out4[:, :, :, first : first + cells] = spectra.transpose(3, 1, 2, 0)
+        np.multiply(block[:, :, :win_len], window,
+                    out=wide[:cells, 0, :, :win_len], dtype=out.dtype)
+        np.multiply(block[:, :, stagger:], window,
+                    out=wide[:cells, 1, :, :win_len], dtype=out.dtype)
+        np.fft.fft(wide[:cells], axis=3, out=wide[:cells])
+        np.copyto(rows[:cells], wide[:cells], casting="same_kind")
+        out4[:, :, :, first : first + cells] = rows[:cells].transpose(3, 1, 2, 0)
         # The FFT overwrote the pad columns; the next block needs them zero.
-        rows[:cells, :, :, win_len:] = 0
+        wide[:cells, :, :, win_len:] = 0
 
 
 def nearest_bin(params: STAPParams, normalized_doppler: float) -> int:

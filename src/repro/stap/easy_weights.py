@@ -60,8 +60,9 @@ def extract_easy_training(staggered: np.ndarray, params: STAPParams) -> np.ndarr
     Returns
     -------
     numpy.ndarray
-        (N_easy, easy_train_per_cpi, J), freshly allocated because the
-        computer's history keeps it: per easy bin, the selected range
+        (N_easy, easy_train_per_cpi, J) complex128, whatever the cube's
+        dtype, freshly allocated because the computer's history keeps
+        it: per easy bin, the selected range
         samples of the *first* Doppler window ("only range samples in the
         first half of the staggered CPI data are used", Section 5.2).
 
@@ -76,8 +77,7 @@ def extract_easy_training(staggered: np.ndarray, params: STAPParams) -> np.ndarr
     # One gather of just the selected cells; the advanced indices, split by
     # the slice, place the broadcast (bins, rows) axes first.
     block = staggered[bins[:, None], :J, sel[None, :]]
-    np.conjugate(block, out=block)
-    return block
+    return np.conjugate(block, out=np.empty(block.shape, dtype=complex))
 
 
 def data_level(training: np.ndarray, workspace=None) -> np.ndarray:

@@ -31,7 +31,7 @@ from repro.stap.lsq import (
     solve_constrained_stacked,
 )
 from repro.stap.threads import split_batch
-from repro.stap.workspace import scratch
+from repro.stap.workspace import local, scratch
 
 #: Fewest units per thread worth a split, as work in (2J)^3 units: 16
 #: paper-scale (2J = 32) units.  On a 2-CPU host a split of 12 such
@@ -40,10 +40,25 @@ from repro.stap.workspace import scratch
 #: small-scale units (2J = 16) need 8x as many.
 SPLIT_MIN_WORK = 16 * 32**3
 
+#: Bytes of stacked systems per LAPACK call: a thread factors its units
+#: in chunks of this size (32 paper-scale units), so the system buffer
+#: and the copies ``np.linalg.qr`` makes of it stay cache-sized instead
+#: of growing with the unit count.
+CHUNK_BYTES = 1 << 20
+
 
 def _split_units(run, state: np.ndarray) -> None:
     """Split ``run(lo, hi)`` over the unit axis of a (U, 2J, 2J) state."""
     split_batch(run, state.shape[0], -(-SPLIT_MIN_WORK // state.shape[1] ** 3))
+
+
+def _unit_chunks(lo: int, hi: int, system: tuple, dtype):
+    """``(first, last)`` chunks of ``[lo, hi)`` whose stacked systems of
+    shape ``system`` fill about :data:`CHUNK_BYTES`."""
+    unit_bytes = int(np.prod(system)) * np.dtype(dtype).itemsize
+    step = max(1, CHUNK_BYTES // unit_bytes)
+    for first in range(lo, hi, step):
+        yield first, min(first + step, hi)
 
 
 def extract_hard_training(
@@ -51,8 +66,9 @@ def extract_hard_training(
 ) -> np.ndarray:
     """Training blocks for every (segment, hard bin) from one staggered CPI.
 
-    Returns (num_segments, N_hard, hard_train_samples, 2J): per segment and
-    hard bin, range samples drawn evenly across that segment, using *both*
+    Returns complex128 (num_segments, N_hard, hard_train_samples, 2J),
+    whatever the cube's dtype: per segment and hard bin, range samples
+    drawn evenly across that segment, using *both*
     Doppler windows ("hard weight computation employs range samples from the
     entire staggered CPI", Section 5.2).
 
@@ -73,7 +89,7 @@ def extract_hard_training(
             params.hard_train_samples,
             params.num_staggered_channels,
         ),
-        staggered.dtype,
+        complex,
     )
     bins = np.asarray(params.hard_bins)[:, None]
     for seg_idx, seg in enumerate(params.segment_slices):
@@ -97,20 +113,25 @@ def update_r_units(
     ``training``: (U, rows, 2J) conjugated training rows.  One stacked
     block-QR update replaces U per-unit recursions — the kernel behind
     :class:`HardWeightComputer`.  Large unit
-    axes split across the kernel threads (:mod:`repro.stap.threads`); each
-    unit's factorization is independent of its batch, so the result is
-    the same for any split.  With a ``workspace`` the stacked systems are
-    built in its buffer, each thread filling its own units' slice.
+    axes split across the kernel threads (:mod:`repro.stap.threads`), and
+    each thread factors its units in chunks of about :data:`CHUNK_BYTES`;
+    each unit's factorization is independent of its batch, so the result
+    is the same for any split or chunk.  With a ``workspace`` each
+    thread builds its chunks' stacked systems in its own child's buffer.
     """
     start = perf_counter() if metrics_registry.enabled else None
     num_units, rows, n2 = training.shape
-    stacked = scratch(workspace, "hard_weights.stacked", (num_units, n2 + rows, n2),
-                      np.result_type(state.dtype, training.dtype))
+    system = (n2 + rows, n2)
+    dtype = np.result_type(state.dtype, training.dtype)
 
     def update(lo: int, hi: int) -> None:
-        state[lo:hi] = qr_append_rows_stacked(
-            state[lo:hi], training[lo:hi], forget=forget, stacked=stacked[lo:hi]
-        )
+        own = local(workspace)
+        for first, last in _unit_chunks(lo, hi, system, dtype):
+            state[first:last] = qr_append_rows_stacked(
+                state[first:last], training[first:last], forget=forget,
+                stacked=scratch(own, "hard_weights.stacked",
+                                (last - first,) + system, dtype),
+            )
 
     _split_units(update, state)
     if start is not None:
@@ -171,27 +192,31 @@ def compute_hard_weights_units(
     side ``w_s`` pull the solution toward the coherent staggered combiner
     ``[w_s; p_n w_s] / 2`` while the data R factor supplies clutter nulls.
 
-    One stacked constrained solve over all units, split across the kernel
-    threads like :func:`update_r_units`; bit identical to the per-unit
-    loop (see :func:`compute_hard_weights_loop`) for any split.  With a
-    ``workspace`` the constraint blocks and stacked systems are its
-    buffers; the returned weights are always fresh, since callers keep
-    them for the next CPI.
+    Stacked constrained solves over chunks of units, split across the
+    kernel threads and chunked like :func:`update_r_units`; bit identical
+    to the per-unit loop (see :func:`compute_hard_weights_loop`) for any
+    split.  With a ``workspace`` the constraint blocks are its buffer and
+    each thread's stacked systems its child's; the returned weights are
+    always fresh, since callers keep them for the next CPI.
     """
     start = perf_counter() if metrics_registry.enabled else None
     num_units, n2 = state.shape[0], state.shape[1]
     constraints = hard_constraint_blocks(
         state, phases, beam_weight, freq_weight, workspace
     )
-    # The update's buffer too: a computer never updates and solves at once.
-    stacked = scratch(workspace, "hard_weights.stacked",
-                      (num_units, n2 + constraints.shape[1], n2), complex)
+    system = (n2 + constraints.shape[1], n2)
     weights = np.empty((num_units, n2, steering.shape[1]), dtype=complex)
 
     def solve(lo: int, hi: int) -> None:
-        weights[lo:hi] = solve_constrained_stacked(
-            state[lo:hi], constraints[lo:hi], steering, stacked=stacked[lo:hi]
-        )
+        own = local(workspace)
+        for first, last in _unit_chunks(lo, hi, system, complex):
+            # The update's buffer too: a computer never updates and
+            # solves at once.
+            weights[first:last] = solve_constrained_stacked(
+                state[first:last], constraints[first:last], steering,
+                stacked=scratch(own, "hard_weights.stacked",
+                                (last - first,) + system, complex),
+            )
 
     _split_units(solve, state)
     if start is not None:

@@ -18,10 +18,15 @@ Each name holds one byte buffer that grows to the largest array asked of
 it; a smaller request is a view of its head.  So a workspace serves
 callers whose block shapes vary — a simulation's ranks, a history that
 fills up — and, once every shape has been seen, allocates nothing.
+
+A kernel split across threads (:mod:`repro.stap.threads`) gives each
+chunk the scratch of :meth:`Workspace.local`: a child workspace of the
+thread running that chunk, kept for that thread's next chunk.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
 import numpy as np
@@ -32,6 +37,7 @@ class Workspace:
 
     def __init__(self) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
+        self._locals: Dict[int, Workspace] = {}
 
     def array(self, name: str, shape, dtype) -> np.ndarray:
         """An uninitialized C-ordered array in the buffer ``name``."""
@@ -42,6 +48,24 @@ class Workspace:
             buffer = np.empty(nbytes, dtype=np.uint8)
             self._buffers[name] = buffer
         return buffer[:nbytes].view(dtype).reshape(shape)
+
+    def local(self) -> "Workspace":
+        """The calling thread's own child workspace.
+
+        The chunks of a split kernel run on several threads at once; each
+        takes its scratch from its thread's child, which no other thread
+        touches and which the thread's next chunk reuses.
+        """
+        key = threading.get_ident()
+        child = self._locals.get(key)
+        if child is None:
+            child = self._locals[key] = Workspace()
+        return child
+
+
+def local(workspace: Optional[Workspace]) -> Optional[Workspace]:
+    """``workspace.local()``, or None when ``workspace`` is None."""
+    return None if workspace is None else workspace.local()
 
 
 def scratch(workspace: Optional[Workspace], name: str, shape, dtype) -> np.ndarray:

@@ -33,14 +33,17 @@ class TestBasicSendRecv:
         assert received["msg"].source == 0
         assert received["msg"].tag == 7
 
-    def test_array_payload_copied_at_send(self):
+    def test_array_payload_owned_by_the_send(self):
+        """The send takes the array without a copy: a sender's write after
+        posting raises, and the receiver still gets what was sent."""
         received = {}
 
         def program(ctx):
             if ctx.rank == 0:
                 data = np.arange(10)
                 req = ctx.isend(data, dest=1, tag=0)
-                data[:] = -1  # mutate after posting; receiver must not see it
+                with pytest.raises(ValueError):
+                    data[:] = -1  # mutate after posting
                 yield req
             else:
                 msg = yield ctx.irecv(source=0)

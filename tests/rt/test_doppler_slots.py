@@ -1,12 +1,13 @@
 """The Doppler stage gathers its data blocks straight into channel slots.
 
-The worker claims a slot on each data edge, fills it with
-``np.take(staggered, bins, out=slot)`` and publishes it.  Running the
-stage body in this process (real channels, no fork) checks that every
-``easy_data``/``hard_data`` slot holds exactly the reference's
-``staggered[bins]``, and that the Figure 10 split stays honest: one comp
-observation per CPI, the gathers inside it, and one backpressure
-observation per claimed slot.
+The worker claims a slot on each data edge, fills it with the block the
+reference beamforms and publishes it.  Running the stage body in this
+process (real channels, no fork) checks that every ``easy_data`` slot
+holds exactly the reference's first-window ``staggered[bins, :J]`` and
+every ``hard_data`` slot its ``staggered[bins]``, both in the cube's
+dtype, and that the Figure 10 split stays honest: one comp observation
+per CPI, the copies inside it, and one backpressure observation per
+claimed slot.
 """
 
 import multiprocessing
@@ -57,11 +58,12 @@ def test_data_slots_hold_the_reference_blocks(doppler_run, tiny_params):
     window = ctx.kernel_plan.doppler_window
     for cpi in range(NUM_CPIS):
         staggered = doppler_filter(ctx.stream.cube(cpi), window=window)
-        for edge, bins in (("easy_data", tiny_params.easy_bins),
-                           ("hard_data", tiny_params.hard_bins)):
-            expected = staggered[bins]
+        J = tiny_params.num_channels
+        for edge, expected in (
+                ("easy_data", staggered[tiny_params.easy_bins, :J]),
+                ("hard_data", staggered[tiny_params.hard_bins])):
             _, view = ctx.channel(edge, 0, 0).recv(cpi, ctx.abort)
-            assert view.dtype == expected.dtype
+            assert view.dtype == tiny_params.dtype == expected.dtype
             assert view.strides == expected.strides
             assert view.tobytes() == expected.tobytes()
 

@@ -111,10 +111,13 @@ def test_edge_specs_cover_every_edge(tiny_params):
 
 
 def test_edge_dtypes_match_the_serial_chain(tiny_params):
-    """Doppler output is always complex128; power is the params' real
-    dtype (float32 for the default complex64 configuration)."""
+    """The staggered cube travels in the cube's dtype (complex64 for the
+    default configuration), the weights in complex128; power is the
+    params' real dtype (float32 for the default configuration)."""
     import numpy as np
 
     specs = edge_specs(tiny_params)
-    assert specs["easy_data"][1] == np.dtype(np.complex128)
+    assert specs["easy_data"][1] == np.dtype(tiny_params.dtype) == np.complex64
+    assert specs["hard_data"][1] == np.dtype(tiny_params.dtype)
+    assert specs["easy_w"][1] == np.dtype(np.complex128)
     assert specs["power"][1] == np.dtype(tiny_params.real_dtype)

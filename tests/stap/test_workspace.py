@@ -12,6 +12,7 @@
 """
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ class TestWorkspace:
         ws = Workspace()
         assert not np.shares_memory(ws.array("a", (8,), float),
                                     ws.array("b", (8,), float))
+
+    def test_each_thread_has_its_own_child(self):
+        ws = Workspace()
+        child = ws.local()
+        assert ws.local() is child and child is not ws
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(ws.local).result()
+        assert other is not child
+        assert not np.shares_memory(child.array("a", (8,), float),
+                                    other.array("a", (8,), float))
 
     def test_empty_arrays(self):
         assert Workspace().array("a", (0, 5), complex).shape == (0, 5)
