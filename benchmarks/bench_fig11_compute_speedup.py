@@ -9,10 +9,11 @@ against the comp columns of Table 7 (e.g. Doppler at 32 nodes = .0874 s).
 
 import pytest
 
-from benchmarks.common import fmt_row, paper_params, run_assignment
-from repro.core.assignment import TASK_NAMES
+from benchmarks.common import fmt_row, run_assignment
+from repro.core.assignment import CASE2, TASK_NAMES
+from repro.experiments.paper import FIG11_COMP_ANCHORS
 
-#: Node sweep per task; the other tasks are held at case-2-like counts so
+#: Node sweep per task; the other tasks are held at case 2's counts so
 #: the pipeline stays functional while one task is scaled.
 SWEEPS = {
     "doppler": (8, 16, 32, 64),
@@ -24,43 +25,12 @@ SWEEPS = {
     "cfar": (4, 8, 16, 32),
 }
 
-#: Comp-column anchors from Table 7 (node count -> seconds).
-TABLE7_COMP_ANCHORS = {
-    "doppler": {32: 0.0874, 16: 0.1714, 8: 0.3509},
-    "easy_weight": {16: 0.0913, 8: 0.1636, 4: 0.3254},
-    "hard_weight": {112: 0.0831, 56: 0.1636, 28: 0.3265},
-    "easy_beamform": {16: 0.0708, 8: 0.1267, 4: 0.2529},
-    "hard_beamform": {28: 0.0414, 14: 0.0822, 7: 0.1636},
-    "pulse_compression": {16: 0.0776, 8: 0.1543, 4: 0.3067},
-    "cfar": {16: 0.0434, 8: 0.0864, 4: 0.1723},
-}
-
-BASE = {  # case-2 counts used for the non-swept tasks
-    "doppler": 16,
-    "easy_weight": 8,
-    "hard_weight": 56,
-    "easy_beamform": 8,
-    "hard_beamform": 14,
-    "pulse_compression": 8,
-    "cfar": 8,
-}
-
 
 def comp_series(task: str) -> dict[int, float]:
     series = {}
     for nodes in SWEEPS[task]:
-        counts = dict(BASE)
-        counts[task] = nodes
-        result = run_assignment(
-            counts["doppler"],
-            counts["easy_weight"],
-            counts["hard_weight"],
-            counts["easy_beamform"],
-            counts["hard_beamform"],
-            counts["pulse_compression"],
-            counts["cfar"],
-        )
-        series[nodes] = result.metrics.tasks[task].comp
+        counts = CASE2.with_counts(**{task: nodes}).counts()
+        series[nodes] = run_assignment(*counts).metrics.tasks[task].comp
     return series
 
 
@@ -81,7 +51,7 @@ def test_fig11_linear_speedup(benchmark, task):
         # speedups").
         assert speedup == pytest.approx(ideal, rel=0.10)
     # Anchor against the paper's Table 7 comp column where available.
-    for n, paper_comp in TABLE7_COMP_ANCHORS[task].items():
+    for n, paper_comp in FIG11_COMP_ANCHORS[task].items():
         if n in series:
             assert series[n] == pytest.approx(paper_comp, rel=0.15)
             benchmark.extra_info[f"comp@{n}"] = round(series[n], 4)

@@ -8,6 +8,7 @@ inter-node communication — throughput scales with nodes, latency does not.
 import pytest
 
 from repro import RoundRobinSTAP, STAPParams
+from repro.experiments.paper import BASELINE
 
 
 def collect():
@@ -26,13 +27,14 @@ def test_roundrobin_baseline(benchmark):
     print(f"{'nodes':>6} {'throughput':>12} {'latency':>10}")
     for nodes, result in sorted(results.items()):
         print(f"{nodes:>6} {result.throughput:>9.2f}/s {result.latency:>9.3f} s")
-    print("paper: up to 10 CPIs/s, latency 2.35 s on 25 nodes")
+    print(f"paper: up to {BASELINE['throughput']:g} CPIs/s, latency "
+          f"{BASELINE['latency']:g} s on {BASELINE['nodes']} nodes")
 
     full = results[25]
     # "up to 10 CPIs per second"
-    assert full.throughput == pytest.approx(10.0, rel=0.15)
+    assert full.throughput == pytest.approx(BASELINE["throughput"], rel=0.15)
     # "a latency of 2.35 seconds per CPI"
-    assert full.latency == pytest.approx(2.35, rel=0.15)
+    assert full.latency == pytest.approx(BASELINE["latency"], rel=0.15)
     # Latency does not improve with more nodes...
     assert results[25].latency == pytest.approx(results[5].latency, rel=0.05)
     # ...but throughput scales linearly.

@@ -45,6 +45,7 @@ from repro import (
     STAPParams,
     SequentialSTAP,
 )
+from repro.experiments import run_paper_case
 from repro.rt.plan import StagePlan
 
 #: Where the script/smoke modes drop their results.
@@ -173,11 +174,12 @@ def measure_vs_modeled(num_cpis: int = NUM_CPIS) -> dict:
     so it is recorded as context, not gated.
     """
     try:
-        from benchmarks.common import NUM_CPIS as MODELED_CPIS, run_case
+        from benchmarks.common import NUM_CPIS as MODELED_CPIS, use_bench_store
     except ImportError:  # script mode: benchmarks/ itself is sys.path[0]
-        from common import NUM_CPIS as MODELED_CPIS, run_case
+        from common import NUM_CPIS as MODELED_CPIS, use_bench_store
 
-    modeled = run_case(CASE1, measured=True)
+    use_bench_store()
+    modeled = run_paper_case("case1", num_cpis=MODELED_CPIS)
     params = STAPParams.paper()
     measured = measure_rt(params, workers=9, num_cpis=num_cpis)
     return {

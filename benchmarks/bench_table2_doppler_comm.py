@@ -16,14 +16,7 @@ drop superlinearly as P0 grows.
 import pytest
 
 from benchmarks.common import fmt_row, run_assignment
-
-#: Paper's Table 2: P0 -> (send, recv at easy weight 16 nodes, recv at
-#: hard weight 56 nodes, recv at easy BF 16, recv at hard BF 16).
-PAPER_TABLE2 = {
-    8: (0.1332, 0.4339, 0.3603, 0.4509, 0.4395),
-    16: (0.0679, 0.1780, 0.1048, 0.1955, 0.1843),
-    32: (0.0340, 0.0511, 0.0034, 0.0646, 0.0519),
-}
+from repro.experiments.paper import TABLE2
 
 
 def sweep():
@@ -50,14 +43,14 @@ def test_table2_doppler_comm(benchmark):
     print(fmt_row(*header, widths=[4] + [9] * 5))
     for p0, measured in sorted(rows.items()):
         print(fmt_row(p0, *measured, widths=[4] + [9] * 5))
-        print(fmt_row("", *PAPER_TABLE2[p0], widths=[4] + [9] * 5) + "   (paper)")
+        print(fmt_row("", *TABLE2[p0], widths=[4] + [9] * 5) + "   (paper)")
 
     sends = {p0: row[0] for p0, row in rows.items()}
     # Send time scales ~1/P0 (data collected/reorganized per node halves).
     assert sends[8] / sends[16] == pytest.approx(2.0, rel=0.2)
     assert sends[16] / sends[32] == pytest.approx(2.0, rel=0.2)
     # Absolute send times within 35% of the paper's.
-    for p0, paper_row in PAPER_TABLE2.items():
+    for p0, paper_row in TABLE2.items():
         assert sends[p0] == pytest.approx(paper_row[0], rel=0.35)
     # Successor recv times drop steeply with P0 (they idle on Doppler).
     for successor in range(1, 5):

@@ -15,15 +15,7 @@ computation, so it shrinks as P1 grows.
 import pytest
 
 from benchmarks.common import fmt_row, run_assignment
-
-PAPER_RECV = {  # (P1, P3) -> easy BF recv
-    (4, 8): 0.1956,
-    (8, 8): 0.0883,
-    (16, 8): 0.0807,
-    (4, 16): 0.2570,
-    (8, 16): 0.0905,
-    (16, 16): 0.0660,
-}
+from repro.experiments.paper import TABLE3_RECV
 
 
 def sweep():
@@ -46,7 +38,7 @@ def test_table3_easy_weight_comm(benchmark):
     print("Table 3 — easy weight -> easy BF (send | recv; paper in parens)")
     print(fmt_row("P1", "P3", "send", "recv", "paper recv", widths=[4, 4, 9, 9, 11]))
     for (p1, p3), (send, recv) in sorted(rows.items()):
-        print(fmt_row(p1, p3, send, recv, PAPER_RECV[(p1, p3)],
+        print(fmt_row(p1, p3, send, recv, TABLE3_RECV[(p1, p3)],
                       widths=[4, 4, 9, 9, 11]))
 
     # Weight sends are negligible next to the Doppler cube redistribution.

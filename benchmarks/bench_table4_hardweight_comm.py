@@ -14,15 +14,7 @@ more weight nodes means less idle waiting downstream.
 import pytest
 
 from benchmarks.common import fmt_row, run_assignment
-
-PAPER_RECV = {
-    (28, 8): 0.1798,
-    (56, 8): 0.1468,
-    (112, 8): 0.1398,
-    (28, 16): 0.2485,
-    (56, 16): 0.0765,
-    (112, 16): 0.0543,
-}
+from repro.experiments.paper import TABLE4_RECV
 
 
 def sweep():
@@ -45,7 +37,7 @@ def test_table4_hard_weight_comm(benchmark):
     print("Table 4 — hard weight -> hard BF (send | recv; paper recv)")
     print(fmt_row("P2", "P4", "send", "recv", "paper recv", widths=[4, 4, 9, 9, 11]))
     for (p2, p4), (send, recv) in sorted(rows.items()):
-        print(fmt_row(p2, p4, send, recv, PAPER_RECV[(p2, p4)],
+        print(fmt_row(p2, p4, send, recv, TABLE4_RECV[(p2, p4)],
                       widths=[4, 4, 9, 9, 11]))
 
     # Weight vectors are small; visible send stays tiny.

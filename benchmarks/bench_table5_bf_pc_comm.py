@@ -14,15 +14,7 @@ reorganization; the recv column again reflects waiting on the producers.
 import pytest
 
 from benchmarks.common import fmt_row, run_assignment
-
-PAPER_PC_RECV = {  # (bf_nodes, pc_nodes) -> PC recv
-    (4, 8): 0.5016,
-    (8, 8): 0.1379,
-    (16, 8): 0.0771,
-    (4, 16): 0.5714,
-    (8, 16): 0.2090,
-    (16, 16): 0.0569,
-}
+from repro.experiments.paper import TABLE5_RECV
 
 
 def sweep():
@@ -51,7 +43,7 @@ def test_table5_bf_pc_comm(benchmark):
     print(fmt_row("BF", "P5", "ebf.send", "hbf.send", "pc.recv", "paper",
                   widths=[4, 4, 9, 9, 9, 9]))
     for (bf, p5), (esend, hsend, recv) in sorted(rows.items()):
-        print(fmt_row(bf, p5, esend, hsend, recv, PAPER_PC_RECV[(bf, p5)],
+        print(fmt_row(bf, p5, esend, hsend, recv, TABLE5_RECV[(bf, p5)],
                       widths=[4, 4, 9, 9, 9, 9]))
 
     for (_bf, _p5), (esend, hsend, _recv) in rows.items():

@@ -13,15 +13,7 @@ CFAR's recv is almost entirely waiting on pulse compression.
 import pytest
 
 from benchmarks.common import fmt_row, run_assignment
-
-PAPER_CFAR_RECV = {
-    (4, 4): 0.3351,
-    (8, 4): 0.0662,
-    (16, 4): 0.0435,
-    (4, 8): 0.3348,
-    (8, 8): 0.1750,
-    (16, 8): 0.1783,
-}
+from repro.experiments.paper import TABLE6_RECV
 
 
 def sweep():
@@ -46,7 +38,7 @@ def test_table6_pc_cfar_comm(benchmark):
     print("Table 6 — pulse compression -> CFAR (send | recv; paper recv)")
     print(fmt_row("P5", "P6", "send", "recv", "paper recv", widths=[4, 4, 9, 9, 11]))
     for (p5, p6), (send, recv) in sorted(rows.items()):
-        print(fmt_row(p5, p6, send, recv, PAPER_CFAR_RECV[(p5, p6)],
+        print(fmt_row(p5, p6, send, recv, TABLE6_RECV[(p5, p6)],
                       widths=[4, 4, 9, 9, 11]))
 
     for (p5, p6), (send, _recv) in rows.items():

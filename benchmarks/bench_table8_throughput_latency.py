@@ -10,57 +10,42 @@ system; equations (1)/(2) come from the per-task timing.
 
 import pytest
 
-from benchmarks.common import fmt_row, run_case
-from repro import CASE1, CASE2, CASE3
-
-PAPER_TABLE8 = {
-    "case1": {"nodes": 236, "throughput": 7.2659, "latency": 0.3622,
-              "eq_throughput": 7.1019, "eq_latency": 0.5362},
-    "case2": {"nodes": 118, "throughput": 3.7959, "latency": 0.6805,
-              "eq_throughput": 3.7919, "eq_latency": 1.0346},
-    "case3": {"nodes": 59, "throughput": 1.9898, "latency": 1.3530,
-              "eq_throughput": 1.9791, "eq_latency": 1.9996},
-}
-
-CASES = {"case1": CASE1, "case2": CASE2, "case3": CASE3}
+from benchmarks.common import fmt_row, use_bench_store
+from repro.experiments import PAPER_CASES, run_table8
 
 
 def collect():
-    results = {}
-    for key, assignment in CASES.items():
-        results[key] = run_case(assignment, measured=True)
-    return results
+    use_bench_store()
+    return run_table8()
 
 
 def test_table8_throughput_latency(benchmark):
-    results = benchmark.pedantic(collect, rounds=1, iterations=1)
+    result = benchmark.pedantic(collect, rounds=1, iterations=1)
 
     print()
     print("Table 8 — throughput (CPIs/s) and latency (s): measured vs paper")
     print(fmt_row("case", "nodes", "thpt", "p.thpt", "lat", "p.lat",
                   widths=[6, 6, 8, 8, 8, 8]))
     for key in ("case1", "case2", "case3"):
-        m = results[key].metrics
-        paper = PAPER_TABLE8[key]
-        print(fmt_row(key, paper["nodes"], m.measured_throughput,
-                      paper["throughput"], m.measured_latency, paper["latency"],
+        cells = result.rows[key]
+        thpt, lat = cells["throughput"], cells["latency"]
+        print(fmt_row(key, PAPER_CASES[key].total_nodes, thpt.measured,
+                      thpt.paper, lat.measured, lat.paper,
                       widths=[6, 6, 8, 8, 8, 8]))
         # Within 15% of the paper's absolute numbers.
-        assert m.measured_throughput == pytest.approx(paper["throughput"], rel=0.15)
-        assert m.measured_latency == pytest.approx(paper["latency"], rel=0.15)
+        assert thpt.measured == pytest.approx(thpt.paper, rel=0.15)
+        assert lat.measured == pytest.approx(lat.paper, rel=0.15)
         # Equation (2) upper-bounds measured latency, as the paper notes.
-        assert m.equation_latency >= 0.95 * m.measured_latency
-        benchmark.extra_info[f"{key}.throughput"] = round(m.measured_throughput, 4)
-        benchmark.extra_info[f"{key}.latency"] = round(m.measured_latency, 4)
+        assert cells["eq_latency"].measured >= 0.95 * lat.measured
+        benchmark.extra_info[f"{key}.throughput"] = round(thpt.measured, 4)
+        benchmark.extra_info[f"{key}.latency"] = round(lat.measured, 4)
 
     # The headline: linear scaling across the three machine sizes.
-    t1 = results["case1"].metrics.measured_throughput
-    t2 = results["case2"].metrics.measured_throughput
-    t3 = results["case3"].metrics.measured_throughput
+    t1, t2, t3 = (result.rows[key]["throughput"].measured
+                  for key in ("case1", "case2", "case3"))
     assert t1 / t2 == pytest.approx(2.0, rel=0.1)
     assert t2 / t3 == pytest.approx(2.0, rel=0.1)
-    l1 = results["case1"].metrics.measured_latency
-    l2 = results["case2"].metrics.measured_latency
-    l3 = results["case3"].metrics.measured_latency
+    l1, l2, l3 = (result.rows[key]["latency"].measured
+                  for key in ("case1", "case2", "case3"))
     assert l2 / l1 == pytest.approx(2.0, rel=0.15)
     assert l3 / l2 == pytest.approx(2.0, rel=0.15)

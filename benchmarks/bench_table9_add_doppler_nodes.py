@@ -10,61 +10,45 @@ other tasks.  Such effects are very difficult to capture in purely
 theoretical models."
 """
 
-import pytest
-
-from benchmarks.common import fmt_row, run_case
-from repro import CASE2, CASE2_PLUS_DOPPLER
-from repro.core.assignment import TASK_NAMES
-
-#: Paper recv columns, case 2 vs Table 9 (122 nodes).
-PAPER_RECV = {
-    "easy_weight": (0.0998, 0.0519),
-    "hard_weight": (0.0979, 0.0486),
-    "easy_beamform": (0.1302, 0.0815),
-    "hard_beamform": (0.1782, 0.1232),
-    "pulse_compression": (0.1027, 0.0519),
-    "cfar": (0.1742, 0.1240),
-}
+from benchmarks.common import fmt_row, use_bench_store
+from repro.experiments import paper, run_table9
 
 
 def collect():
-    return run_case(CASE2, measured=True), run_case(CASE2_PLUS_DOPPLER, measured=True)
+    use_bench_store()
+    return run_table9()
 
 
 def test_table9_add_doppler_nodes(benchmark):
-    before, after = benchmark.pedantic(collect, rounds=1, iterations=1)
+    result = benchmark.pedantic(collect, rounds=1, iterations=1)
 
     print()
     print("Table 9 — case 2 (118 nodes) vs +4 Doppler nodes (122 nodes)")
     print(fmt_row("task", "recv(118)", "recv(122)", "paper(118)", "paper(122)",
                   widths=[18, 10, 10, 10, 10]))
     improved = 0
-    for task in TASK_NAMES:
-        if task == "doppler":
-            continue
-        recv_before = before.metrics.tasks[task].recv
-        recv_after = after.metrics.tasks[task].recv
-        paper = PAPER_RECV[task]
-        print(fmt_row(task, recv_before, recv_after, *paper,
-                      widths=[18, 10, 10, 10, 10]))
-        if recv_after < recv_before:
+    for task in paper.TABLE9_RECV:
+        cells = result.rows[task]
+        before, after = cells["recv (118)"], cells["recv (122)"]
+        print(fmt_row(task, before.measured, after.measured, before.paper,
+                      after.paper, widths=[18, 10, 10, 10, 10]))
+        if cells["recv delta"].measured < 0:
             improved += 1
     # The secondary effect: most successors' recv improves.
     assert improved >= 4
 
-    thr_gain = (
-        after.metrics.measured_throughput / before.metrics.measured_throughput - 1.0
-    )
-    lat_gain = (
-        1.0 - after.metrics.measured_latency / before.metrics.measured_latency
-    )
-    print(f"throughput: {before.metrics.measured_throughput:.4f} -> "
-          f"{after.metrics.measured_throughput:.4f}  (+{100 * thr_gain:.0f}%; paper +32%)")
-    print(f"latency:    {before.metrics.measured_latency:.4f} -> "
-          f"{after.metrics.measured_latency:.4f}  (-{100 * lat_gain:.0f}%; paper -19%)")
+    thpt, lat = result.rows["throughput"], result.rows["latency"]
+    thr_gain = result.rows["throughput gain"]["%"]
+    lat_gain = result.rows["latency gain"]["%"]
+    print(f"throughput: {thpt['118 nodes'].measured:.4f} -> "
+          f"{thpt['122 nodes'].measured:.4f}  (+{thr_gain.measured:.0f}%; "
+          f"paper +{thr_gain.paper:.0f}%)")
+    print(f"latency:    {lat['118 nodes'].measured:.4f} -> "
+          f"{lat['122 nodes'].measured:.4f}  (-{lat_gain.measured:.0f}%; "
+          f"paper -{lat_gain.paper:.0f}%)")
 
     # A 3% node increase buys a >15% throughput gain and lower latency.
-    assert thr_gain > 0.15
-    assert lat_gain > 0.0
-    benchmark.extra_info["throughput_gain_pct"] = round(100 * thr_gain, 1)
-    benchmark.extra_info["latency_gain_pct"] = round(100 * lat_gain, 1)
+    assert thr_gain.measured > 15.0
+    assert lat_gain.measured > 0.0
+    benchmark.extra_info["throughput_gain_pct"] = round(thr_gain.measured, 1)
+    benchmark.extra_info["latency_gain_pct"] = round(lat_gain.measured, 1)

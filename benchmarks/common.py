@@ -12,6 +12,10 @@ result cache of :mod:`repro.exec` (Table 2's 8-node column is Table 7
 case 3's Doppler count, etc.) — the cache keys on node counts, not
 assignment names, so differently-named but physically identical
 configurations share one simulation.
+
+The paper's published values come from :mod:`repro.experiments.paper`;
+Tables 7–10 run through the :mod:`repro.experiments` runners, and the
+Tables 2–6 and Figure 11 sweeps through :func:`run_assignment`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ import os
 from pathlib import Path
 
 from repro import Assignment, STAPParams
-from repro.exec import USE_DEFAULT_CACHE, PointResult, SimPoint, execute_point
+from repro.exec import (
+    USE_DEFAULT_CACHE,
+    PointResult,
+    SimPoint,
+    execute_point,
+    set_default_cache,
+)
 
 #: CPIs per measured run, as in the paper ("A total of 25 CPI complex data
 #: cubes were generated as inputs").
@@ -56,18 +66,20 @@ def bench_store():
     return _campaign_store
 
 
+def use_bench_store() -> None:
+    """Make :func:`bench_store` the process-default result cache.
+
+    The paper-table runners of :mod:`repro.experiments` take no cache
+    argument; they read the process default, which is how a campaign
+    directory reaches them.
+    """
+    store = bench_store()
+    if store is not USE_DEFAULT_CACHE:
+        set_default_cache(store)
+
+
 def paper_params() -> STAPParams:
     return STAPParams.paper()
-
-
-def _run_cached(counts: tuple[int, ...], measured: bool) -> PointResult:
-    point = SimPoint(
-        paper_params(),
-        Assignment(*counts, name=f"bench{counts}"),
-        num_cpis=NUM_CPIS,
-        measured=measured,
-    )
-    return execute_point(point, cache=bench_store())
 
 
 def run_assignment(
@@ -78,17 +90,15 @@ def run_assignment(
     hard_bf: int,
     pc: int,
     cfar: int,
-    measured: bool = False,
 ) -> PointResult:
     """Simulate one assignment at paper scale (result-cached)."""
-    return _run_cached(
-        (doppler, easy_weight, hard_weight, easy_bf, hard_bf, pc, cfar), measured
+    counts = (doppler, easy_weight, hard_weight, easy_bf, hard_bf, pc, cfar)
+    point = SimPoint(
+        paper_params(),
+        Assignment(*counts, name=f"bench{counts}"),
+        num_cpis=NUM_CPIS,
     )
-
-
-def run_case(assignment: Assignment, measured: bool = True) -> PointResult:
-    """Simulate one of the named paper assignments (result-cached)."""
-    return _run_cached(assignment.counts(), measured)
+    return execute_point(point, cache=bench_store())
 
 
 def merge_results(path, updates: dict, tolerance: float = 0.10) -> dict:

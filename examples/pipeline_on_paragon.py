@@ -12,14 +12,8 @@ Run:  python examples/pipeline_on_paragon.py [--quick]
 
 import argparse
 
-from repro import CASE1, CASE2, CASE3, STAPParams, STAPPipeline
-
-#: Table 8 of the paper ("real" rows), for side-by-side comparison.
-PAPER_TABLE8 = {
-    "case1 (236 nodes)": (7.2659, 0.3622),
-    "case2 (118 nodes)": (3.7959, 0.6805),
-    "case3 (59 nodes)": (1.9898, 1.3530),
-}
+from repro import STAPParams, STAPPipeline
+from repro.experiments.paper import PAPER_CASES, TABLE8
 
 
 def main() -> None:
@@ -32,13 +26,14 @@ def main() -> None:
     args = parser.parse_args()
 
     params = STAPParams.paper()
-    cases = (CASE3,) if args.quick else (CASE3, CASE2, CASE1)
-    for case in cases:
+    keys = ("case3",) if args.quick else ("case3", "case2", "case1")
+    for key in keys:
+        case = PAPER_CASES[key]
         result = STAPPipeline(params, case, num_cpis=args.cpis).run_measured()
         print(result.metrics.table(f"=== {case.name} ==="))
-        paper_thr, paper_lat = PAPER_TABLE8[case.name]
-        print(f"paper (Table 8 real): throughput {paper_thr:.4f} CPIs/s, "
-              f"latency {paper_lat:.4f} s")
+        published = TABLE8[key]
+        print(f"paper (Table 8 real): throughput {published['throughput']:.4f} "
+              f"CPIs/s, latency {published['latency']:.4f} s")
         print(f"network: {result.network_messages} messages, "
               f"{result.network_bytes / 2**20:.1f} MiB per run")
         print()

@@ -24,11 +24,6 @@ import os
 import sys
 
 from repro import (
-    CASE1,
-    CASE2,
-    CASE3,
-    CASE2_PLUS_DOPPLER,
-    CASE2_PLUS_DOPPLER_PC_CFAR,
     CPIStream,
     RadarScenario,
     RoundRobinSTAP,
@@ -38,20 +33,13 @@ from repro import (
 )
 from repro.core.timeline import render_timeline
 from repro.des.backends import BACKEND_NAMES
+from repro.experiments import PAPER_CASES, TABLE_RUNNERS, paper
 from repro.scheduling import (
     AnalyticPipelineModel,
     optimize_latency,
     optimize_throughput,
 )
 from repro.stap import flops
-
-NAMED_CASES = {
-    "case1": CASE1,
-    "case2": CASE2,
-    "case3": CASE3,
-    "table9": CASE2_PLUS_DOPPLER,
-    "table10": CASE2_PLUS_DOPPLER_PC_CFAR,
-}
 
 
 def _enable_metrics(args) -> bool:
@@ -111,7 +99,7 @@ def cmd_flops(_args) -> int:
 
 
 def cmd_case(args) -> int:
-    assignment = NAMED_CASES[args.name]
+    assignment = PAPER_CASES[args.name]
     trace = bool(args.trace_out or args.report)
     metered = _enable_metrics(args)
     pipeline = STAPPipeline(
@@ -157,8 +145,10 @@ def cmd_roundrobin(args) -> int:
         num_cpis=args.cpis
     )
     print(result.summary())
-    print("(paper, Section 2: up to 10 CPIs/s throughput, 2.35 s latency "
-          "on 25 nodes)")
+    published = paper.BASELINE
+    print(f"(paper, Section 2: up to {published['throughput']:g} CPIs/s "
+          f"throughput, {published['latency']:g} s latency on "
+          f"{published['nodes']} nodes)")
     return 0
 
 
@@ -227,7 +217,7 @@ def cmd_tune(args) -> int:
         # Ride the paper's evaluated assignments along as seeds so the
         # result states where Table 7/9/10 sit relative to the front.
         seeds = [
-            case for case in NAMED_CASES.values()
+            case for case in PAPER_CASES.values()
             if case.total_nodes <= args.budget
         ]
     dash = None
@@ -305,24 +295,15 @@ def _detect_parallel(params, scenario, args) -> int:
 
 
 def cmd_table(args) -> int:
-    from repro.experiments import (
-        run_baseline,
-        run_table1,
-        run_table7,
-        run_table8,
-        run_table9,
-        run_table10,
-    )
-
-    runners = {
-        "1": lambda: run_table1(),
-        "7": lambda: run_table7(args.case, num_cpis=args.cpis),
-        "8": lambda: run_table8(num_cpis=args.cpis),
-        "9": lambda: run_table9(num_cpis=args.cpis),
-        "10": lambda: run_table10(num_cpis=args.cpis),
-        "baseline": lambda: run_baseline(),
-    }
-    result = runners[args.id]()
+    kwargs = {}
+    if args.cpis is not None:
+        if args.id == "1":
+            print("table 1 is analytic; --cpis does not apply", file=sys.stderr)
+            return 2
+        kwargs["num_cpis"] = args.cpis
+    if args.id == "7":
+        kwargs["case"] = args.case
+    result = TABLE_RUNNERS[args.id](**kwargs)
     print(result.render())
     print(f"worst deviation from paper: {result.worst_error_pct():.1f}%")
     return 0
@@ -468,7 +449,7 @@ def cmd_campaign_resume(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    assignment = NAMED_CASES[args.name]
+    assignment = PAPER_CASES[args.name]
     result = STAPPipeline(
         STAPParams.paper(), assignment, num_cpis=args.cpis
     ).run()
@@ -488,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("flops", help="Table 1: flop counts").set_defaults(fn=cmd_flops)
 
     p_case = sub.add_parser("case", help="run a named node assignment")
-    p_case.add_argument("--name", choices=sorted(NAMED_CASES), default="case2")
+    p_case.add_argument("--name", choices=sorted(PAPER_CASES), default="case2")
     p_case.add_argument("--cpis", type=int, default=25)
     p_case.add_argument("--measured", action="store_true",
                         help="two-phase paced latency measurement")
@@ -577,11 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.set_defaults(fn=cmd_detect)
 
     p_tab = sub.add_parser("table", help="reproduce one of the paper's tables")
-    p_tab.add_argument("--id", choices=("1", "7", "8", "9", "10", "baseline"),
-                       required=True)
-    p_tab.add_argument("--case", choices=("case1", "case2", "case3"),
-                       default="case2", help="for table 7")
-    p_tab.add_argument("--cpis", type=int, default=25)
+    p_tab.add_argument("--id", choices=TABLE_RUNNERS, required=True)
+    p_tab.add_argument("--case", choices=paper.TABLE7, default="case2",
+                       help="for table 7")
+    p_tab.add_argument("--cpis", type=int, default=None,
+                       help="CPIs per run (default: the table's own)")
     p_tab.set_defaults(fn=cmd_table)
 
     p_rep = sub.add_parser("report", help="write the full reproduction report")
@@ -683,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cres.set_defaults(fn=cmd_campaign_resume)
 
     p_tl = sub.add_parser("timeline", help="ASCII Gantt of a pipeline run")
-    p_tl.add_argument("--name", choices=sorted(NAMED_CASES), default="case3")
+    p_tl.add_argument("--name", choices=sorted(PAPER_CASES), default="case3")
     p_tl.add_argument("--cpis", type=int, default=10)
     p_tl.add_argument("--width", type=int, default=100)
     p_tl.set_defaults(fn=cmd_timeline)

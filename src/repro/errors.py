@@ -42,10 +42,6 @@ class MPIError(ReproError):
     """Raised for violations of the simulated-MPI API contract."""
 
 
-class TruncationError(MPIError):
-    """Raised when a received message is larger than the posted buffer."""
-
-
 class MachineError(ReproError):
     """Raised for invalid machine-model configurations (topology, rates)."""
 

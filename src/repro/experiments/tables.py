@@ -1,76 +1,45 @@
 """Runners for the paper's Tables 1 and 7-10 plus the Section 2 baseline.
 
-All runners accept ``num_cpis`` (default 25, the paper's run length) and an
-optional machine override, and return :class:`TableResult` objects pairing
-measured values with the paper's published ones.
+Each runner returns a :class:`TableResult` pairing measured values with the
+published ones from :mod:`repro.experiments.paper`.  The simulated tables
+accept ``num_cpis`` (default 25, the paper's run length) and an optional
+machine override, and run their assignments through
+:func:`run_paper_case`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.assignment import (
-    Assignment,
-    CASE1,
-    CASE2,
-    CASE3,
-    CASE2_PLUS_DOPPLER,
-    CASE2_PLUS_DOPPLER_PC_CFAR,
-    TASK_NAMES,
-)
-from repro.core.pipeline import STAPPipeline
+from repro.core.assignment import TASK_NAMES
 from repro.core.roundrobin import RoundRobinSTAP
+from repro.exec import PointResult, SimPoint, execute_point
+from repro.experiments import paper
+from repro.experiments.paper import PAPER_CASES
 from repro.experiments.records import Comparison, TableResult
 from repro.machine import Machine
 from repro.radar.parameters import STAPParams
 from repro.stap import flops as flops_mod
 
-#: The named assignments of the evaluation section.
-PAPER_CASES: dict[str, Assignment] = {
-    "case1": CASE1,
-    "case2": CASE2,
-    "case3": CASE3,
-    "table9": CASE2_PLUS_DOPPLER,
-    "table10": CASE2_PLUS_DOPPLER_PC_CFAR,
-}
 
-#: Table 8 "real" rows.
-_PAPER_TABLE8 = {
-    "case1": (7.2659, 0.3622),
-    "case2": (3.7959, 0.6805),
-    "case3": (1.9898, 1.3530),
-}
+def run_paper_case(
+    case: str,
+    num_cpis: int = 25,
+    machine: Optional[Machine] = None,
+    measured: bool = True,
+) -> PointResult:
+    """Simulate one of :data:`PAPER_CASES` at paper scale.
 
-#: Table 7 (recv, comp, send) per case and task.
-_PAPER_TABLE7 = {
-    "case1": {
-        "doppler": (0.0055, 0.0874, 0.0348),
-        "easy_weight": (0.0493, 0.0913, 0.0003),
-        "hard_weight": (0.0555, 0.0831, 0.0005),
-        "easy_beamform": (0.0658, 0.0708, 0.0021),
-        "hard_beamform": (0.0936, 0.0414, 0.0010),
-        "pulse_compression": (0.0551, 0.0776, 0.0028),
-        "cfar": (0.0910, 0.0434, None),
-    },
-    "case2": {
-        "doppler": (0.0110, 0.1714, 0.0668),
-        "easy_weight": (0.0998, 0.1636, 0.0003),
-        "hard_weight": (0.0979, 0.1636, 0.0005),
-        "easy_beamform": (0.1302, 0.1267, 0.0036),
-        "hard_beamform": (0.1782, 0.0822, 0.0017),
-        "pulse_compression": (0.1027, 0.1543, 0.0051),
-        "cfar": (0.1742, 0.0864, None),
-    },
-    "case3": {
-        "doppler": (0.0219, 0.3509, 0.1296),
-        "easy_weight": (0.1796, 0.3254, 0.0003),
-        "hard_weight": (0.1779, 0.3265, 0.0006),
-        "easy_beamform": (0.2439, 0.2529, 0.0068),
-        "hard_beamform": (0.3370, 0.1636, 0.0032),
-        "pulse_compression": (0.1806, 0.3067, 0.0097),
-        "cfar": (0.3240, 0.1723, None),
-    },
-}
+    The run goes through the executor's process-default result cache, so
+    an assignment several tables share (case 2 in Tables 8 and 9, the
+    122-node one in Tables 9 and 10) simulates once per process.
+    ``measured`` selects the two-phase paced measurement of latency.
+    """
+    point = SimPoint(
+        STAPParams.paper(), PAPER_CASES[case], machine=machine,
+        num_cpis=num_cpis, measured=measured,
+    )
+    return execute_point(point)
 
 
 def run_table1(params: Optional[STAPParams] = None) -> TableResult:
@@ -85,36 +54,25 @@ def run_table1(params: Optional[STAPParams] = None) -> TableResult:
     return result
 
 
-def _run_pipeline(
-    assignment: Assignment,
-    num_cpis: int,
-    machine: Optional[Machine],
-    measured: bool,
-):
-    pipeline = STAPPipeline(
-        STAPParams.paper(), assignment, machine=machine, num_cpis=num_cpis
-    )
-    return pipeline.run_measured() if measured else pipeline.run()
-
-
 def run_table7(
     case: str, num_cpis: int = 25, machine: Optional[Machine] = None
 ) -> TableResult:
     """Table 7: per-task recv/comp/send for one of the three cases."""
-    if case not in _PAPER_TABLE7:
-        raise KeyError(f"case must be one of {sorted(_PAPER_TABLE7)}, got {case!r}")
-    assignment = PAPER_CASES[case]
-    run = _run_pipeline(assignment, num_cpis, machine, measured=False)
-    result = TableResult("Table 7", f"per-task timing, {assignment.name}")
+    if case not in paper.TABLE7:
+        raise KeyError(f"case must be one of {sorted(paper.TABLE7)}, got {case!r}")
+    run = run_paper_case(case, num_cpis, machine, measured=False)
+    result = TableResult("Table 7", f"per-task timing, {PAPER_CASES[case].name}")
     for task in TASK_NAMES:
         metrics = run.metrics.tasks[task]
-        p_recv, p_comp, p_send = _PAPER_TABLE7[case][task]
+        p_recv, p_comp, p_send = paper.TABLE7[case][task]
         result.add(task, "recv", Comparison(metrics.recv, p_recv, " s"))
         result.add(task, "comp", Comparison(metrics.comp, p_comp, " s"))
         result.add(task, "send", Comparison(metrics.send, p_send, " s"))
     result.add(
         "throughput", "CPIs/s",
-        Comparison(run.metrics.measured_throughput, _PAPER_TABLE8[case][0]),
+        Comparison(
+            run.metrics.measured_throughput, paper.TABLE8[case]["throughput"]
+        ),
     )
     return result
 
@@ -127,44 +85,69 @@ def run_table8(
     """Table 8: throughput and latency across the machine sizes."""
     result = TableResult("Table 8", "throughput and latency vs machine size")
     for case in cases:
-        run = _run_pipeline(PAPER_CASES[case], num_cpis, machine, measured=True)
-        paper_thr, paper_lat = _PAPER_TABLE8[case]
-        result.add(
-            case, "throughput",
-            Comparison(run.metrics.measured_throughput, paper_thr, " CPIs/s"),
-        )
-        result.add(
-            case, "latency",
-            Comparison(run.metrics.measured_latency, paper_lat, " s"),
-        )
-        result.add(
-            case, "eq_latency",
-            Comparison(run.metrics.equation_latency, None, " s"),
-        )
+        metrics = run_paper_case(case, num_cpis, machine).metrics
+        published = paper.TABLE8[case]
+        for column, value, unit in (
+            ("throughput", metrics.measured_throughput, " CPIs/s"),
+            ("latency", metrics.measured_latency, " s"),
+            ("eq_throughput", metrics.equation_throughput, " CPIs/s"),
+            ("eq_latency", metrics.equation_latency, " s"),
+        ):
+            result.add(case, column, Comparison(value, published[column], unit))
     result.notes.append("equation (2) latency is the paper's upper bound")
     return result
 
 
+def _what_if(table_id: str, title: str, runs: dict) -> TableResult:
+    """Throughput and latency rows with one column per run.
+
+    ``runs`` maps a column label to ``(PointResult, published values)``.
+    """
+    result = TableResult(table_id, title)
+    for quantity, unit in (("throughput", " CPIs/s"), ("latency", " s")):
+        for label, (run, published) in runs.items():
+            measured = getattr(run.metrics, f"measured_{quantity}")
+            result.add(
+                quantity, label, Comparison(measured, published[quantity], unit)
+            )
+    return result
+
+
+def _change(cells: dict, change) -> Comparison:
+    """``change(before, after)`` over a two-column row, measured and paper."""
+    before, after = cells.values()
+    return Comparison(
+        change(before.measured, after.measured),
+        change(before.paper, after.paper),
+    )
+
+
+def _gain_pct(before: float, after: float) -> float:
+    return 100 * (after / before - 1)
+
+
+def _cut_pct(before: float, after: float) -> float:
+    return 100 * (1 - after / before)
+
+
 def run_table9(num_cpis: int = 25, machine: Optional[Machine] = None) -> TableResult:
     """Table 9: +4 Doppler nodes on case 2."""
-    before = _run_pipeline(CASE2, num_cpis, machine, measured=True)
-    after = _run_pipeline(CASE2_PLUS_DOPPLER, num_cpis, machine, measured=True)
-    result = TableResult("Table 9", "case 2 + 4 Doppler nodes (118 -> 122)")
-    thr_gain = (
-        after.metrics.measured_throughput / before.metrics.measured_throughput - 1
+    before = run_paper_case("case2", num_cpis, machine)
+    after = run_paper_case("table9", num_cpis, machine)
+    result = _what_if(
+        "Table 9", "case 2 + 4 Doppler nodes (118 -> 122)",
+        {"118 nodes": (before, paper.TABLE8["case2"]),
+         "122 nodes": (after, paper.TABLE9)},
     )
-    lat_gain = 1 - after.metrics.measured_latency / before.metrics.measured_latency
-    result.add("throughput gain", "%", Comparison(100 * thr_gain, 32.0))
-    result.add("latency gain", "%", Comparison(100 * lat_gain, 19.0))
-    for task in TASK_NAMES:
-        if task == "doppler":
-            continue
+    result.add("throughput gain", "%", _change(result.rows["throughput"], _gain_pct))
+    result.add("latency gain", "%", _change(result.rows["latency"], _cut_pct))
+    for task, (paper_before, paper_after) in paper.TABLE9_RECV.items():
+        recv_before = before.metrics.tasks[task].recv
+        recv_after = after.metrics.tasks[task].recv
+        result.add(task, "recv (118)", Comparison(recv_before, paper_before, " s"))
+        result.add(task, "recv (122)", Comparison(recv_after, paper_after, " s"))
         result.add(
-            task, "recv delta",
-            Comparison(
-                after.metrics.tasks[task].recv - before.metrics.tasks[task].recv,
-                None, " s",
-            ),
+            task, "recv delta", Comparison(recv_after - recv_before, None, " s")
         )
     result.notes.append(
         "secondary effect: successor recv deltas should be negative"
@@ -174,33 +157,41 @@ def run_table9(num_cpis: int = 25, machine: Optional[Machine] = None) -> TableRe
 
 def run_table10(num_cpis: int = 25, machine: Optional[Machine] = None) -> TableResult:
     """Table 10: +16 pulse compression / CFAR nodes on the Table 9 config."""
-    before = _run_pipeline(CASE2_PLUS_DOPPLER, num_cpis, machine, measured=True)
-    after = _run_pipeline(
-        CASE2_PLUS_DOPPLER_PC_CFAR, num_cpis, machine, measured=True
+    result = _what_if(
+        "Table 10", "+16 PC/CFAR nodes (122 -> 138)",
+        {"122 nodes": (run_paper_case("table9", num_cpis, machine), paper.TABLE9),
+         "138 nodes": (run_paper_case("table10", num_cpis, machine),
+                       paper.TABLE10)},
     )
-    result = TableResult("Table 10", "+16 PC/CFAR nodes (122 -> 138)")
     result.add(
         "throughput ratio", "x",
-        Comparison(
-            after.metrics.measured_throughput / before.metrics.measured_throughput,
-            4.9052 / 5.0213,
-        ),
+        _change(result.rows["throughput"], lambda before, after: after / before),
     )
-    result.add(
-        "latency gain", "%",
-        Comparison(
-            100 * (1 - after.metrics.measured_latency / before.metrics.measured_latency),
-            23.0,
-        ),
-    )
+    result.add("latency gain", "%", _change(result.rows["latency"], _cut_pct))
     result.notes.append("throughput flat: the weight tasks are the bottleneck")
     return result
 
 
-def run_baseline(num_cpis: int = 50, num_nodes: int = 25) -> TableResult:
+def run_baseline(
+    num_cpis: int = 50, num_nodes: int = paper.BASELINE["nodes"]
+) -> TableResult:
     """Section 2: the RTMCARM round-robin system."""
     run = RoundRobinSTAP(STAPParams.paper(), num_nodes=num_nodes).run(num_cpis)
     result = TableResult("Section 2", f"round-robin baseline, {num_nodes} nodes")
-    result.add("throughput", "CPIs/s", Comparison(run.throughput, 10.0))
-    result.add("latency", "s", Comparison(run.latency, 2.35))
+    published = paper.BASELINE
+    result.add("throughput", "CPIs/s",
+               Comparison(run.throughput, published["throughput"]))
+    result.add("latency", "s", Comparison(run.latency, published["latency"]))
     return result
+
+
+#: ``repro-stap table --id`` -> runner.  The runners keep their own
+#: ``num_cpis`` default unless the caller passes one.
+TABLE_RUNNERS = {
+    "1": run_table1,
+    "7": run_table7,
+    "8": run_table8,
+    "9": run_table9,
+    "10": run_table10,
+    "baseline": run_baseline,
+}

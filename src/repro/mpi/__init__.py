@@ -14,9 +14,6 @@ MPI semantics:
 * request objects with ``wait`` (yield the request) and ``wait_all``;
 * communicators over arbitrary rank subsets (``World.create_comm``), with
   isolated matching contexts;
-* collectives: barrier, bcast, gather(v), scatter(v), alltoall(v),
-  reduce/allreduce — implemented over point-to-point with binomial trees,
-  exactly as a portable MPI layer would;
 * a virtual high-resolution timer (``Wtime``) — the paper's ``MPI_Wtime``.
 
 Example
@@ -42,7 +39,6 @@ from repro.mpi.datatypes import Message, ANY_SOURCE, ANY_TAG
 from repro.mpi.request import Request, SendRequest, RecvRequest, wait_all, wait_any
 from repro.mpi.communicator import World, Communicator
 from repro.mpi.context import RankContext
-from repro.mpi import collectives
 
 __all__ = [
     "Message",
@@ -56,5 +52,4 @@ __all__ = [
     "World",
     "Communicator",
     "RankContext",
-    "collectives",
 ]

@@ -142,6 +142,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 7" in out and "throughput" in out
 
+    def test_table_cpis_reaches_the_runner(self, monkeypatch, capsys):
+        """``--cpis`` goes to every simulated runner when given; without
+        it each runner keeps its own default."""
+        from repro.experiments import TABLE_RUNNERS, TableResult
+
+        calls = []
+
+        def runner(**kwargs):
+            calls.append(kwargs)
+            return TableResult("Section 2", "stub")
+
+        monkeypatch.setitem(TABLE_RUNNERS, "baseline", runner)
+        assert main(["table", "--id", "baseline", "--cpis", "40"]) == 0
+        assert main(["table", "--id", "baseline"]) == 0
+        assert calls == [{"num_cpis": 40}, {}]
+        # Table 1 is analytic: a run length is refused, not dropped.
+        assert main(["table", "--id", "1", "--cpis", "40"]) == 2
+        assert "does not apply" in capsys.readouterr().err
+
     @pytest.mark.obs
     def test_case_trace_out_and_report(self, capsys, tmp_path):
         import json

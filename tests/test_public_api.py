@@ -37,16 +37,6 @@ class TestTopLevelApi:
 
 
 class TestTagSpaces:
-    def test_pipeline_tags_below_collective_tags(self):
-        """Pipeline edge tags must never collide with the tag range the
-        collectives reserve, for any plausible run length."""
-        from repro.core.redistribution import TAG_STRIDE, edge_tag
-        from repro.mpi.collectives import COLLECTIVE_TAG_BASE
-
-        max_cpis = 10_000
-        assert edge_tag("pc_to_cfar", max_cpis) < COLLECTIVE_TAG_BASE
-        assert TAG_STRIDE * max_cpis < COLLECTIVE_TAG_BASE
-
     def test_pipeline_tags_below_tag_limit(self):
         """Pipeline edge tags stay below the lowered matcher's packed-key
         bound, the one that binds by default, for any plausible run."""
